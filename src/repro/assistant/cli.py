@@ -19,7 +19,7 @@ import numpy as np
 from ..exceptions import ReproError
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions
-from ..semantics.denotational import BACKENDS, LIFTINGS
+from ..semantics.denotational import BACKENDS
 from ..telemetry import configure_tracing, get_tracer, metrics_snapshot
 from .session import Session
 from .verify import verify_source
@@ -30,23 +30,20 @@ __all__ = ["build_arg_parser", "main"]
 #: Epilog explaining the performance knobs; shown by ``--help``.
 _EPILOG = """\
 performance options:
-  The semantic engines offer two orthogonal switches (see README "Scaling
-  guide" for measured numbers):
+  The semantic engines store full-register maps in one of two backends (see
+  README "Scaling guide" for the measured table):
 
   --backend kraus     operator-list (Kraus) representation; the paper's
-                      presentation, best at small registers (default)
+                      presentation (default).  Best for nondeterministic
+                      sets and loop-free circuits (qwalk16 denotation:
+                      105 ms vs 1462 ms with transfer)
   --backend transfer  d²×d² transfer-matrix representation; every
-                      composition is one dense matmul, best for loop-heavy
-                      programs from ~3 qubits up
+                      composition is one dense matmul.  Best for deep loops
+                      with a single body (3-qubit Grover sampling loop:
+                      24 ms vs 90 ms with kraus)
 
-  --lifting dense     every gate is eagerly promoted to the full register
-                      via np.kron before any product (default)
-  --lifting local     gates stay (small matrix, target qubits) and products
-                      contract only the targeted tensor factors; best for
-                      gate-local circuits from ~4 qubits up
-
-  Both switches are semantics-preserving: all four combinations agree to the
-  library tolerance on every shipped case study.
+  The switch is semantics-preserving: both backends agree to the library
+  tolerance on every shipped case study.
 
   --jobs N            shard scheduler exploration, pairwise products and the
                       prover's per-predicate fan-out across N worker
@@ -86,13 +83,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=list(BACKENDS),
         default="kraus",
         help="super-operator representation used by the semantic engines (default: kraus)",
-    )
-    parser.add_argument(
-        "--lifting",
-        choices=list(LIFTINGS),
-        default="dense",
-        help="operator promotion strategy: dense np.kron embedding or "
-        "structure-aware local contraction (default: dense)",
     )
     parser.add_argument(
         "--jobs",
@@ -210,7 +200,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             options=ProverOptions(
                 epsilon=arguments.epsilon,
                 backend=arguments.backend,
-                lifting=arguments.lifting,
                 parallelism=arguments.jobs,
             ),
             base_path=source_path.parent,

@@ -153,7 +153,6 @@ def verify(
     mode: str = "partial",
     epsilon: float = 1e-6,
     backend: str = "kraus",
-    lifting: str = "dense",
 ) -> VerificationReport:
     """Convenience wrapper mirroring ``nqpv.verify``: source text plus extra operators.
 
@@ -172,9 +171,6 @@ def verify(
     backend:
         Super-operator representation of the semantic engines: ``"kraus"``
         (default) or ``"transfer"``.
-    lifting:
-        Operator promotion strategy: ``"dense"`` (default) or ``"local"``
-        (structure-aware contraction; see the README scaling guide).
     """
     environment = default_environment()
     for name, matrix in (operators or {}).items():
@@ -184,5 +180,5 @@ def verify(
         source,
         environment,
         mode=correctness_mode,
-        options=ProverOptions(epsilon=epsilon, backend=backend, lifting=lifting),
+        options=ProverOptions(epsilon=epsilon, backend=backend),
     )

@@ -8,7 +8,7 @@ through
 * the wlp transformer
   (:func:`repro.semantics.wp.weakest_liberal_precondition`)
 
-under every ``backend × lifting × jobs`` combination of
+under every ``backend × jobs`` combination of
 :data:`DEFAULT_COMBOS`.  All pairs of runs must agree: denotation sets up to
 ``ATOL`` on their Choi signatures (:func:`repro.superop.compare.set_equal`),
 wlp assertions up to ``ATOL`` on their predicate matrices.  Loop-free draws
@@ -84,22 +84,20 @@ class ReplayProgram:
 
 @dataclass(frozen=True)
 class Combo:
-    """One cell of the oracle matrix: a backend × lifting × jobs combination."""
+    """One cell of the oracle matrix: a backend × jobs combination."""
 
     backend: str
-    lifting: str
     jobs: int = 1
 
     @property
     def label(self) -> str:
-        """Return the compact ``backend/lifting/jN`` display label."""
-        return f"{self.backend}/{self.lifting}/j{self.jobs}"
+        """Return the compact ``backend/jN`` display label."""
+        return f"{self.backend}/j{self.jobs}"
 
 
-#: The full oracle matrix: kraus/transfer × dense/local × jobs ∈ {1, 2}.
+#: The full oracle matrix: kraus/transfer × jobs ∈ {1, 2}.
 DEFAULT_COMBOS: Tuple[Combo, ...] = tuple(
-    Combo(backend, lifting, jobs)
-    for backend, lifting, jobs in product(("kraus", "transfer"), ("dense", "local"), (1, 2))
+    Combo(backend, jobs) for backend, jobs in product(("kraus", "transfer"), (1, 2))
 )
 
 
@@ -244,7 +242,6 @@ def _combo_run(program, postcondition, register, combo: Combo, config: OracleCon
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
         backend=combo.backend,
-        lifting=combo.lifting,
         parallelism=combo.jobs,
     )
     wp_options = WpOptions(
@@ -252,7 +249,6 @@ def _combo_run(program, postcondition, register, combo: Combo, config: OracleCon
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
         backend=combo.backend,
-        lifting=combo.lifting,
         parallelism=combo.jobs,
     )
     channels = denotation(program, register, den_options)
@@ -339,7 +335,7 @@ def check_program(
             register,
             mode=CorrectnessMode.PARTIAL,
             invariants=task.invariants,
-            options=ProverOptions(backend=combo.backend, lifting=combo.lifting),
+            options=ProverOptions(backend=combo.backend),
         )
         outline = prover.generate(program, postcondition)
         if not _assertions_close(outline.precondition, wlp, atol=config.atol):

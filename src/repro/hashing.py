@@ -2,8 +2,8 @@
 
 Every cacheable object in the library — AST nodes (:mod:`repro.language.ast`),
 :class:`~repro.predicates.predicate.QuantumPredicate` /
-:class:`~repro.predicates.assertion.QuantumAssertion`, and the three
-super-operator representations (Kraus, transfer, local) — gets a stable
+:class:`~repro.predicates.assertion.QuantumAssertion`, and both
+super-operator representations (Kraus, transfer) — gets a stable
 SHA-256 *structural digest* computed from a canonical serialization of its
 contents.  The digests form the shared key-space of the process-wide
 :mod:`repro.cache` result cache (denotations, wp/wlp transformers, prover
@@ -215,28 +215,11 @@ def assertion_digest(assertion) -> str:
 
 
 def superop_digest(channel) -> str:
-    """Return the digest of a super-operator in any of the three representations.
+    """Return the digest of a super-operator in either representation.
 
     Kraus-form and transfer-form maps digest their (quantized) Choi matrix, so
-    equal maps in those two representations share a digest.
-    :class:`~repro.superop.local.LocalSuperOperator` digests its *small* Choi
-    matrix over the sorted support together with ``(support, num_qubits)`` —
-    never materialising the ``4^n`` dense Choi matrix.  A local map therefore
-    digests differently from its dense embedding even when the maps are equal;
-    that is the permitted (conservative) direction of the digest contract.
+    equal maps in the two representations share a digest.
     """
-    from .superop.choi import choi_matrix
-    from .superop.local import LocalSuperOperator
-
-    if isinstance(channel, LocalSuperOperator):
-        support = tuple(sorted(channel.positions))
-        smalls = channel._lift_to(list(support))
-        return digest_parts(
-            "superop-local",
-            channel.num_qubits,
-            support,
-            digest_array(choi_matrix(smalls)),
-        )
     return digest_parts("superop", channel.dimension, digest_array(channel.choi()))
 
 
@@ -284,7 +267,7 @@ def tolerance_safe_hash(kind: str, dimension: int) -> int:
     The only sound hash inputs are exact discrete invariants preserved by
     equality: the ``kind`` tag and the ``dimension``.  All equal-comparable
     representations must share one ``kind`` (e.g. every super-operator class
-    passes ``"superop"``, since Kraus/transfer/local maps compare equal across
+    passes ``"superop"``, since Kraus/transfer maps compare equal across
     representations).  Bucket collisions are resolved by ``__eq__``.
     """
     return hash(("repro-tolerance-safe", kind, dimension))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ..cache import MISS, RESULT_CACHE
-from ..exceptions import InvariantError, SemanticsError, VerificationError
+from ..exceptions import InvariantError, VerificationError
 from ..hashing import assertion_digest, node_digest, options_signature, register_signature
 from ..telemetry.metrics import METRICS
 from ..telemetry.provenance import ProofEvent, proof_event, render_events
@@ -34,13 +34,11 @@ from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import OrderCheckResult, leq_inf
 from ..registers import QubitRegister
 from ..semantics.denotational import (
-    BACKENDS,
-    _check_lifting,
+    _check_backend,
     _check_parallelism,
     initializer_channel,
     measurement_pair,
 )
-from ..superop.local import LocalSuperOperator
 from .formula import CorrectnessFormula, CorrectnessMode
 from .proof import AnnotatedStatement, ProofOutline
 from .ranking import check_ranking, synthesize_ranking
@@ -63,10 +61,6 @@ class ProverOptions:
     backend:
         Super-operator representation used when rules apply channels to
         assertions: ``"kraus"`` (default) or ``"transfer"``.
-    lifting:
-        ``"dense"`` (default) or ``"local"`` — whether channels are eagerly
-        promoted to the full register or applied by contracting only their
-        tensor factors (see :mod:`repro.superop.local`).
     parallelism:
         Worker processes for the per-postcondition-predicate (Meas)+(Union)
         fan-out and the loop exploration of the underlying semantics — ``1``
@@ -78,15 +72,10 @@ class ProverOptions:
     ranking_truncation: int = 64
     check_rankings: bool = True
     backend: str = "kraus"
-    lifting: str = "dense"
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown semantics backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        _check_lifting(self.lifting)
+        _check_backend(self.backend)
         _check_parallelism(self.parallelism)
 
 
@@ -200,7 +189,6 @@ class Prover:
             region="prover",
             mode=self.mode.name,
             backend=self.options.backend,
-            lifting=self.options.lifting,
             num_qubits=self.register.num_qubits,
         ):
             root = self._annotate(program, postcondition)
@@ -300,23 +288,15 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule=rule)
 
     def _annotate_init(self, program: Init, post: QuantumAssertion) -> AnnotatedStatement:
-        channel = initializer_channel(
-            program.qubits, self.register, self.options.backend, self.options.lifting
-        )
+        channel = initializer_channel(program.qubits, self.register, self.options.backend)
         with span("vc-transform", region="prover", rule="Init", predicates=len(post)):
             pre = post.apply_superoperator_adjoint(channel)
         return AnnotatedStatement(program, pre, post, rule="Init")
 
     def _annotate_unitary(self, program: Unitary, post: QuantumAssertion) -> AnnotatedStatement:
         with span("vc-transform", region="prover", rule="Unit", predicates=len(post)):
-            if self.options.lifting == "local":
-                channel = LocalSuperOperator.from_unitary(
-                    program.matrix, self.register.positions(program.qubits), self.register.num_qubits
-                )
-                pre = post.apply_superoperator_adjoint(channel)
-            else:
-                embedded = self.register.embed(program.matrix, program.qubits)
-                pre = post.conjugate_by(embedded)
+            embedded = self.register.embed(program.matrix, program.qubits)
+            pre = post.conjugate_by(embedded)
         return AnnotatedStatement(program, pre, post, rule="Unit")
 
     def _annotate_seq(self, program: Seq, post: QuantumAssertion) -> AnnotatedStatement:
@@ -343,15 +323,12 @@ class Prover:
 
         return DenotationOptions(
             backend=self.options.backend,
-            lifting=self.options.lifting,
             parallelism=self.options.parallelism,
         )
 
     def _measurement_pair(self, program):
         """Build ``(P⁰, P¹)`` in the representation requested by the options."""
-        return measurement_pair(
-            program, self.register, self.options.backend, self.options.lifting
-        )
+        return measurement_pair(program, self.register, self.options.backend)
 
     def _annotate_if(self, program: If, post: QuantumAssertion) -> AnnotatedStatement:
         p0, p1 = self._measurement_pair(program)

@@ -19,8 +19,7 @@ ancillas) with the same single-bit-flip noise model:
   correction flips ``q`` exactly when all ancillas measure ``1``.
 
 Every statement of the family is a one- or two-qubit operation regardless of
-``n`` — the family is the canonical *gate-local* workload for the
-``lifting="local"`` semantics mode (see ``benchmarks/bench_scaling.py``).
+``n`` (see ``benchmarks/bench_scaling.py`` for its scaling sweep).
 """
 
 from __future__ import annotations

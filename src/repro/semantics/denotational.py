@@ -25,17 +25,9 @@ Two interchangeable backends compute the same semantics:
   are carried as one stacked :class:`~repro.superop.transfer.TransferSet`, so
   every composition/comparison is a batched dense matrix operation.
 
-Orthogonally to the backend, ``lifting`` selects how a statement's operators
-reach the full program register:
-
-* ``lifting="dense"`` (default) — every gate/measurement/initialisation is
-  eagerly promoted to its ``2^n × 2^n`` cylinder extension via ``np.kron``
-  before any product is taken, as in the paper's prototype.
-* ``lifting="local"`` — operators stay ``(small matrix, target positions)``
-  (:class:`~repro.superop.local.LocalSuperOperator`) and all products contract
-  only the targeted tensor factors; lifting is deferred until composition with
-  a genuinely global object demands it.  Results agree with dense lifting to
-  the library tolerance ``ATOL`` on every shipped program.
+In both, every gate/measurement/initialisation is promoted to its
+``2^n × 2^n`` cylinder extension before any product is taken, as in the
+paper's lifted model and its prototype.
 
 Both backends return objects sharing the channel protocol (``apply``,
 ``apply_adjoint``, ``compose``, ``choi``, ``equals``, ``precedes``), so all
@@ -56,7 +48,6 @@ from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, W
 from ..registers import QubitRegister
 from ..superop.compare import deduplicate
 from ..superop.kraus import SuperOperator
-from ..superop.local import LocalSuperOperator
 from ..superop.transfer import TransferSet, TransferSuperOperator
 from ..telemetry.tracing import span
 from .schedulers import ConstantScheduler, Scheduler, constant_schedulers, sample_schedulers
@@ -75,15 +66,12 @@ __all__ = [
 #: The recognised values of ``DenotationOptions.backend``.
 BACKENDS = ("kraus", "transfer")
 
-#: The recognised values of ``DenotationOptions.lifting``.
-LIFTINGS = ("dense", "local")
 
-
-def _check_lifting(lifting: str) -> None:
-    """Raise :class:`SemanticsError` unless ``lifting`` names a known mode."""
-    if lifting not in LIFTINGS:
+def _check_backend(backend: str) -> None:
+    """Raise :class:`SemanticsError` unless ``backend`` names a known backend."""
+    if backend not in BACKENDS:
         raise SemanticsError(
-            f"unknown lifting mode {lifting!r}; expected one of {LIFTINGS}"
+            f"unknown semantics backend {backend!r}; expected one of {BACKENDS}"
         )
 
 
@@ -119,9 +107,6 @@ class DenotationOptions:
         Whether to remove duplicate super-operators from denotation sets.
     backend:
         ``"kraus"`` or ``"transfer"`` — see the module docstring.
-    lifting:
-        ``"dense"`` (eager cylinder extension) or ``"local"``
-        (structure-aware deferred lifting) — see the module docstring.
     parallelism:
         Worker processes for scheduler exploration and pairwise products
         (see :mod:`repro.parallel`).  ``1`` (default) runs serially, ``0``
@@ -137,49 +122,24 @@ class DenotationOptions:
     simplify_threshold: int = 64
     dedup: bool = True
     backend: str = "kraus"
-    lifting: str = "dense"
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown semantics backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        _check_lifting(self.lifting)
+        _check_backend(self.backend)
         _check_parallelism(self.parallelism)
 
 
-def measurement_superoperators(statement, register: QubitRegister, lifting: str = "dense"):
-    """Return the pair ``(P⁰, P¹)`` of projection super-operators of a measurement node.
-
-    With ``lifting="local"`` the projectors are wrapped as
-    :class:`~repro.superop.local.LocalSuperOperator` on the measured qubits
-    (no dense embedding is built); with the default ``"dense"`` they are
-    eagerly promoted to the full register as Kraus-form maps.
-    """
-    _check_lifting(lifting)
-    with span("measurement-pair", region="denotation", lifting=lifting):
-        if lifting == "local":
-            positions = register.positions(statement.qubits)
-            return (
-                LocalSuperOperator.from_projector(statement.measurement.p0, positions, register.num_qubits),
-                LocalSuperOperator.from_projector(statement.measurement.p1, positions, register.num_qubits),
-            )
+def measurement_superoperators(statement, register: QubitRegister):
+    """Return the pair ``(P⁰, P¹)`` of Kraus-form projection super-operators of a measurement node."""
+    with span("measurement-pair", region="denotation"):
         p0 = register.embed(statement.measurement.p0, statement.qubits)
         p1 = register.embed(statement.measurement.p1, statement.qubits)
         return SuperOperator([p0], validate=False), SuperOperator([p1], validate=False)
 
 
-def _measurement_transfer(statement, register: QubitRegister, lifting: str = "dense"):
-    """Transfer-backend analogue of :func:`measurement_superoperators`.
-
-    Local lifting returns the same :class:`LocalSuperOperator` pair as the
-    Kraus backend — local maps compose with transfer-form maps through the
-    shared dispatch, contracting only the measured factors.
-    """
-    if lifting == "local":
-        return measurement_superoperators(statement, register, lifting="local")
-    with span("measurement-pair", region="denotation", lifting=lifting, transfer=True):
+def _measurement_transfer(statement, register: QubitRegister):
+    """Transfer-backend analogue of :func:`measurement_superoperators`."""
+    with span("measurement-pair", region="denotation", transfer=True):
         p0 = register.embed(statement.measurement.p0, statement.qubits)
         p1 = register.embed(statement.measurement.p1, statement.qubits)
         return (
@@ -188,57 +148,29 @@ def _measurement_transfer(statement, register: QubitRegister, lifting: str = "de
         )
 
 
-def measurement_pair(statement, register: QubitRegister, backend: str = "kraus", lifting: str = "dense"):
-    """Return ``(P⁰, P¹)`` in the representation selected by ``backend``/``lifting``.
+def measurement_pair(statement, register: QubitRegister, backend: str = "kraus"):
+    """Return ``(P⁰, P¹)`` in the representation selected by ``backend``.
 
-    This is the single dispatch shared by the prover and the rule checker:
-    local lifting wins over the backend choice (a local map composes with
-    either dense representation), otherwise the Kraus pair is converted when
-    the transfer backend is requested.
+    This is the single dispatch shared by the prover and the rule checker.
     """
-    p0, p1 = measurement_superoperators(statement, register, lifting=lifting)
-    if backend == "transfer" and lifting != "local":
-        p0 = TransferSuperOperator.from_superoperator(p0)
-        p1 = TransferSuperOperator.from_superoperator(p1)
-    return p0, p1
+    _check_backend(backend)
+    if backend == "transfer":
+        return _measurement_transfer(statement, register)
+    return measurement_superoperators(statement, register)
 
 
-def initializer_channel(
-    qubits: Sequence[str], register: QubitRegister, backend: str = "kraus", lifting: str = "dense"
-):
+def initializer_channel(qubits: Sequence[str], register: QubitRegister, backend: str = "kraus"):
     """Return the ``Set0`` channel on the named ``qubits`` in the selected representation.
 
     Shared by the wp transformer, the prover and the rule checker, mirroring
     the dispatch of :func:`measurement_pair`.
     """
-    _check_lifting(lifting)
-    with span("initializer", region="denotation", backend=backend, lifting=lifting):
-        if lifting == "local":
-            return LocalSuperOperator.initializer(register.positions(qubits), register.num_qubits)
+    _check_backend(backend)
+    with span("initializer", region="denotation", backend=backend):
         channel = SuperOperator.initializer(len(qubits)).embed(qubits, register)
         if backend == "transfer":
             channel = TransferSuperOperator.from_superoperator(channel)
         return channel
-
-
-def _local_statement_channel(statement, register: QubitRegister) -> LocalSuperOperator:
-    """Return the :class:`LocalSuperOperator` denoted by a basic statement.
-
-    ``Unitary`` matrices are additionally shrunk to their true support
-    (:meth:`LocalSuperOperator.from_full`), so over-wide gates — e.g. a
-    controlled gate handed over on more qubits than it actually touches —
-    are lifted from the smallest possible factor space.
-    """
-    num_qubits = register.num_qubits
-    if isinstance(statement, Skip):
-        return LocalSuperOperator.identity(num_qubits)
-    if isinstance(statement, Init):
-        return LocalSuperOperator.initializer(register.positions(statement.qubits), num_qubits)
-    if isinstance(statement, Unitary):
-        return LocalSuperOperator.from_full(
-            statement.matrix, register.positions(statement.qubits), num_qubits
-        )
-    raise SemanticsError(f"{type(statement).__name__} does not denote a local channel")
 
 
 def denotation(
@@ -273,7 +205,6 @@ def denotation(
         region="denotation",
         node=type(program).__name__,
         backend=options.backend,
-        lifting=options.lifting,
         num_qubits=register.num_qubits,
     ) as denotation_span:
         options_sig = options_signature(options)
@@ -319,32 +250,19 @@ def apply_denotation(
 
 def _denote(program: Program, register: QubitRegister, options: DenotationOptions) -> List[SuperOperator]:
     dimension = register.dimension
-    local = options.lifting == "local"
 
     if isinstance(program, Skip):
-        if local:
-            return [LocalSuperOperator.identity(register.num_qubits)]
         return [SuperOperator.identity(dimension)]
     if isinstance(program, Abort):
-        if local:
-            return [LocalSuperOperator.zero(register.num_qubits)]
         return [SuperOperator.zero(dimension)]
     if isinstance(program, Init):
-        if local:
-            return [_local_statement_channel(program, register)]
         channel = SuperOperator.initializer(len(program.qubits)).embed(program.qubits, register)
         return [channel]
     if isinstance(program, Unitary):
-        if local:
-            return [_local_statement_channel(program, register)]
         embedded = register.embed(program.matrix, program.qubits)
         return [SuperOperator([embedded], validate=False)]
     if isinstance(program, Seq):
-        current: List = [
-            LocalSuperOperator.identity(register.num_qubits)
-            if local
-            else SuperOperator.identity(dimension)
-        ]
+        current: List = [SuperOperator.identity(dimension)]
         for statement in program.statements:
             step = _denote(statement, register, options)
             with span(
@@ -372,7 +290,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
             maps.extend(_denote(branch, register, options))
         return maps
     if isinstance(program, If):
-        p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+        p0, p1 = measurement_superoperators(program, register)
         else_maps = _denote(program.else_branch, register, options)
         then_maps = _denote(program.then_branch, register, options)
         combined = []
@@ -391,55 +309,25 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
 # ---------------------------------------------------------------------------
 
 
-def _local_transfer_step(current: TransferSet, statement, register: QubitRegister) -> TransferSet:
-    """Push one basic statement onto a transfer stack by local contraction.
-
-    ``current`` holds the transfer matrices accumulated so far; the statement's
-    small transfer matrix (``4^k × 4^k``) left-multiplies every stack element
-    while touching only the statement's tensor factors — ``O(4^k · 16^n)`` per
-    element instead of the ``O(64^n)`` dense composition.
-    """
-    if isinstance(statement, Skip):
-        return current
-    channel = _local_statement_channel(statement, register)
-    return current.then_each_local(channel.small_transfer(), channel.transfer_positions())
-
-
 def _denote_transfer(
     program: Program, register: QubitRegister, options: DenotationOptions
 ) -> TransferSet:
     dimension = register.dimension
-    local = options.lifting == "local"
 
     if isinstance(program, Skip):
         return TransferSet.singleton(TransferSuperOperator.identity(dimension))
     if isinstance(program, Abort):
         return TransferSet.singleton(TransferSuperOperator.zero(dimension))
-    if isinstance(program, (Init, Unitary)):
-        if local:
-            identity = TransferSet.singleton(TransferSuperOperator.identity(dimension))
-            return _local_transfer_step(identity, program, register)
-        if isinstance(program, Init):
-            kraus = SuperOperator.initializer(len(program.qubits)).kraus_operators
-            embedded = [register.embed(operator, program.qubits) for operator in kraus]
-            return TransferSet.singleton(TransferSuperOperator.from_kraus(embedded))
+    if isinstance(program, Init):
+        kraus = SuperOperator.initializer(len(program.qubits)).kraus_operators
+        embedded = [register.embed(operator, program.qubits) for operator in kraus]
+        return TransferSet.singleton(TransferSuperOperator.from_kraus(embedded))
+    if isinstance(program, Unitary):
         embedded = register.embed(program.matrix, program.qubits)
         return TransferSet.singleton(TransferSuperOperator.from_unitary(embedded))
     if isinstance(program, Seq):
         current = TransferSet.singleton(TransferSuperOperator.identity(dimension))
         for statement in program.statements:
-            if local and isinstance(statement, (Skip, Init, Unitary)):
-                # Deferred lifting: basic statements never materialise their
-                # full-register transfer matrix, they contract into the stack.
-                with span(
-                    "seq-compose",
-                    region="denotation",
-                    statement=type(statement).__name__,
-                    set_size=len(current),
-                    local=True,
-                ):
-                    current = _local_transfer_step(current, statement, register)
-                continue
             step = _denote_transfer(statement, register, options)
             with span(
                 "seq-compose",
@@ -463,15 +351,9 @@ def _denote_transfer(
             combined = combined.concatenate(piece)
         return combined
     if isinstance(program, If):
-        p0, p1 = _measurement_transfer(program, register, lifting=options.lifting)
-        else_set = _denote_transfer(program.else_branch, register, options)
-        then_set = _denote_transfer(program.then_branch, register, options)
-        if local:
-            else_set = else_set.after_each_local(p0.small_transfer(), p0.transfer_positions())
-            then_set = then_set.after_each_local(p1.small_transfer(), p1.transfer_positions())
-        else:
-            else_set = else_set.after_each(p0)
-            then_set = then_set.after_each(p1)
+        p0, p1 = _measurement_transfer(program, register)
+        else_set = _denote_transfer(program.else_branch, register, options).after_each(p0)
+        then_set = _denote_transfer(program.then_branch, register, options).after_each(p1)
         return else_set.branch_sum_pairwise(then_set)
     if isinstance(program, While):
         return TransferSet.from_operators(_denote_while_transfer(program, register, options))
@@ -681,14 +563,11 @@ def loop_iterates(
     options = options or DenotationOptions()
     transfer_mode = bool(body_maps) and isinstance(body_maps[0], TransferSuperOperator)
     if transfer_mode:
-        p0, p1 = _measurement_transfer(program, register, lifting=options.lifting)
+        p0, p1 = _measurement_transfer(program, register)
         identity = TransferSuperOperator.identity(register.dimension)
     else:
-        p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
-        if options.lifting == "local":
-            identity = LocalSuperOperator.identity(register.num_qubits)
-        else:
-            identity = SuperOperator.identity(register.dimension)
+        p0, p1 = measurement_superoperators(program, register)
+        identity = SuperOperator.identity(register.dimension)
 
     iterates: List = []
     with span("loop-chain", region="loop", transfer=transfer_mode) as chain_span:
@@ -793,9 +672,7 @@ def _transfer_pairwise_parallel(step, current, register, options) -> Optional[Tr
 
 
 def _maybe_simplify(channel, options: DenotationOptions):
-    """Re-canonicalise a Kraus-form or local map whose operator count exploded."""
+    """Re-canonicalise a Kraus-form map whose operator count exploded."""
     if isinstance(channel, SuperOperator) and len(channel.kraus_operators) > options.simplify_threshold:
-        return channel.simplified()
-    if isinstance(channel, LocalSuperOperator) and len(channel.small_kraus) > options.simplify_threshold:
         return channel.simplified()
     return channel

@@ -27,14 +27,12 @@ from ..cache import MISS, RESULT_CACHE
 from ..exceptions import SemanticsError
 from ..hashing import node_digest, options_signature, predicate_digest, register_signature
 from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, While
-from ..linalg.tensor import apply_local_conjugation
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
-    BACKENDS,
-    _check_lifting,
+    _check_backend,
     _check_parallelism,
     _loop_schedulers,
     deterministic_loop_bypass,
@@ -56,11 +54,6 @@ class WpOptions:
     conjugate-transpose matmul on the vectorised predicate (see
     :mod:`repro.superop.transfer`).
 
-    ``lifting`` selects how statements reach the register: ``"dense"``
-    materialises every cylinder extension, ``"local"`` conjugates predicates
-    by contracting only the statement's tensor factors (see
-    :mod:`repro.superop.local`).
-
     ``parallelism`` shards the per-scheduler loop evaluation (and the body
     denotations, which forward it) across worker processes — ``1`` (default)
     is serial, ``0`` means one worker per CPU core; results are identical to
@@ -72,15 +65,10 @@ class WpOptions:
     sampled_schedulers: int = 2
     convergence_tolerance: float = 1e-9
     backend: str = "kraus"
-    lifting: str = "dense"
     parallelism: int = 1
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise SemanticsError(
-                f"unknown semantics backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        _check_lifting(self.lifting)
+        _check_backend(self.backend)
         _check_parallelism(self.parallelism)
 
 
@@ -120,7 +108,6 @@ def _transform(
         "wp" if not liberal else "wlp",
         region="wp",
         backend=options.backend,
-        lifting=options.lifting,
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
     ):
@@ -180,19 +167,9 @@ def _xp_single_uncached(
             return [QuantumPredicate.identity(register.num_qubits)]
         return [QuantumPredicate.zero(register.num_qubits)]
     if isinstance(program, Init):
-        channel = initializer_channel(
-            program.qubits, register, options.backend, options.lifting
-        )
+        channel = initializer_channel(program.qubits, register, options.backend)
         return [post.apply_superoperator_adjoint(channel)]
     if isinstance(program, Unitary):
-        if options.lifting == "local":
-            # U†MU computed by contracting only the gate's tensor factors;
-            # unitary conjugation preserves 0 ⊑ M ⊑ I exactly, so no clipping.
-            positions = register.positions(program.qubits)
-            matrix = apply_local_conjugation(
-                np.conjugate(program.matrix).T, post.matrix, positions
-            )
-            return [QuantumPredicate(matrix, validate=False)]
         embedded = register.embed(program.matrix, program.qubits)
         return [post.conjugate_by(embedded)]
     if isinstance(program, Seq):
@@ -209,7 +186,7 @@ def _xp_single_uncached(
             result.extend(_xp_single(branch, post, register, options, liberal))
         return _dedup(result)
     if isinstance(program, If):
-        p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+        p0, p1 = measurement_superoperators(program, register)
         else_parts = _xp_single(program.else_branch, post, register, options, liberal)
         then_parts = _xp_single(program.then_branch, post, register, options, liberal)
         combined: List[QuantumPredicate] = []
@@ -238,7 +215,7 @@ def _xp_while(
     ``f_k(A) = P⁰(M) + P¹(η_k†(A) + I − η_k†(I))`` for wlp,
     starting from ``M^·_0 = 0`` (wp) or ``I`` (wlp).
     """
-    p0, p1 = measurement_superoperators(program, register, lifting=options.lifting)
+    p0, p1 = measurement_superoperators(program, register)
     body_choices = _body_denotations(program, register, options)
     identity = np.eye(register.dimension, dtype=complex)
 
@@ -357,7 +334,6 @@ def _body_denotations(program: While, register: QubitRegister, options: WpOption
         schedulers=options.schedulers,
         sampled_schedulers=options.sampled_schedulers,
         backend=options.backend,
-        lifting=options.lifting,
         parallelism=options.parallelism,
     )
     return denotation(program.body, register, body_options)

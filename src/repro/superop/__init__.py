@@ -1,6 +1,6 @@
 """Super-operator substrate (S2): Kraus maps, Choi matrices, transfer matrices, channels and orderings.
 
-Four interoperable representations of a completely positive map are provided:
+Three interoperable representations of a completely positive map are provided:
 
 * **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}``; best for
   applying a small map to individual states.
@@ -10,16 +10,9 @@ Four interoperable representations of a completely positive map are provided:
 * **Transfer/Liouville** (:mod:`.transfer`) — the ``d²×d²`` matrix acting on
   vectorised states; best whenever full-register maps are composed, iterated
   or compared, since all of those become single dense matrix operations.
-* **Local** (:mod:`.local`) — ``(small Kraus operators, target factor
-  positions)`` with *deferred* cylinder extension; every product contracts
-  only the targeted tensor factors, which is the ``lifting="local"`` fast
-  path of the semantics engines for gate-local programs.
-
-Conversions between the dense three are lossless: Kraus→Choi is a sum of
-outer products, Choi↔transfer is a cheap index reshuffle, and Choi→Kraus is
-an eigendecomposition; a local map densifies via
-:meth:`~repro.superop.local.LocalSuperOperator.to_superoperator` /
-:meth:`~repro.superop.local.LocalSuperOperator.to_transfer`.
+Conversions between them are lossless: Kraus→Choi is a sum of outer
+products, Choi↔transfer is a cheap index reshuffle, and Choi→Kraus is an
+eigendecomposition.
 """
 
 from .channels import (
@@ -55,7 +48,6 @@ from .compare import (
     superoperator_precedes,
 )
 from .kraus import SuperOperator
-from .local import LocalSuperOperator
 from .transfer import (
     TransferSet,
     TransferSuperOperator,

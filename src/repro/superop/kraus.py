@@ -29,7 +29,6 @@ from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive, is_unitary, kraus_gram, loewner_le, num_qubits_of
-from ..linalg.tensor import apply_local_right
 from .choi import choi_matrix
 
 __all__ = ["SuperOperator"]
@@ -198,23 +197,8 @@ class SuperOperator:
         return SuperOperator([dagger(operator) for operator in self._kraus], validate=False)
 
     # ------------------------------------------------------------------ algebra
-    def compose(self, other) -> "SuperOperator":
-        """Return ``self ∘ other`` (first ``other``, then ``self``).
-
-        A :class:`~repro.superop.local.LocalSuperOperator` operand is composed
-        by contracting only its targeted tensor factors (no dense embedding is
-        built); the result is a Kraus-form map either way.
-        """
-        from .local import LocalSuperOperator  # deferred: local builds on kraus
-
-        if isinstance(other, LocalSuperOperator):
-            self._check_dimension(other)
-            stack = np.stack(self._kraus)
-            kraus: List[np.ndarray] = []
-            for small in other.small_kraus:
-                # E ∘ embed(s): right-multiply every Kraus operator locally.
-                kraus.extend(apply_local_right(stack, small, other.positions))
-            return SuperOperator(kraus, validate=False)
+    def compose(self, other: "SuperOperator") -> "SuperOperator":
+        """Return ``self ∘ other`` (first ``other``, then ``self``)."""
         self._check_dimension(other)
         kraus = [a @ b for a in self._kraus for b in other._kraus]
         return SuperOperator(kraus, validate=False)
@@ -226,15 +210,8 @@ class SuperOperator:
     def __matmul__(self, other: "SuperOperator") -> "SuperOperator":
         return self.compose(other)
 
-    def __add__(self, other) -> "SuperOperator":
+    def __add__(self, other: "SuperOperator") -> "SuperOperator":
         """Return the pointwise sum (Kraus lists concatenated)."""
-        from .local import LocalSuperOperator  # deferred: local builds on kraus
-
-        if isinstance(other, LocalSuperOperator):
-            self._check_dimension(other)
-            return SuperOperator(
-                list(self._kraus) + other.embedded_kraus(), validate=False
-            )
         self._check_dimension(other)
         return SuperOperator(self._kraus + other._kraus, validate=False)
 

@@ -39,7 +39,6 @@ from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive
-from ..linalg.tensor import apply_local_left, apply_local_right
 from .choi import is_tni_choi, kraus_from_choi
 from .kraus import SuperOperator
 
@@ -242,21 +241,8 @@ class TransferSuperOperator:
         return TransferSuperOperator(dagger(self._matrix), validate=False)
 
     # ------------------------------------------------------------------ algebra
-    def compose(self, other) -> "TransferSuperOperator":
-        """Return ``self ∘ other`` (first ``other``, then ``self``) — one matmul.
-
-        A :class:`~repro.superop.local.LocalSuperOperator` operand contributes
-        its small ``4^k × 4^k`` transfer matrix through a local contraction of
-        the column factors instead of a dense ``4^n`` product.
-        """
-        from .local import LocalSuperOperator  # deferred: local builds on transfer
-
-        if isinstance(other, LocalSuperOperator):
-            self._check_dimension(other)
-            matrix = apply_local_right(
-                self._matrix, other.small_transfer(), other.transfer_positions()
-            )
-            return TransferSuperOperator(matrix, validate=False)
+    def compose(self, other: "TransferSuperOperator") -> "TransferSuperOperator":
+        """Return ``self ∘ other`` (first ``other``, then ``self``) — one matmul."""
         self._check_dimension(other)
         return TransferSuperOperator(self._matrix @ other._matrix, validate=False)
 
@@ -267,15 +253,8 @@ class TransferSuperOperator:
     def __matmul__(self, other: "TransferSuperOperator") -> "TransferSuperOperator":
         return self.compose(other)
 
-    def __add__(self, other) -> "TransferSuperOperator":
+    def __add__(self, other: "TransferSuperOperator") -> "TransferSuperOperator":
         """Return the pointwise sum (transfer matrices added entrywise)."""
-        from .local import LocalSuperOperator  # deferred: local builds on transfer
-
-        if isinstance(other, LocalSuperOperator):
-            self._check_dimension(other)
-            return TransferSuperOperator(
-                self._matrix + other.to_transfer().matrix, validate=False
-            )
         self._check_dimension(other)
         return TransferSuperOperator(self._matrix + other._matrix, validate=False)
 
@@ -355,15 +334,11 @@ class TransferSuperOperator:
 
 
 def _transfer_of(channel) -> np.ndarray | None:
-    """Return the transfer matrix of any representation (``None`` if foreign)."""
-    from .local import LocalSuperOperator  # deferred: local builds on transfer
-
+    """Return the transfer matrix of either representation (``None`` if foreign)."""
     if isinstance(channel, TransferSuperOperator):
         return channel.matrix
     if isinstance(channel, SuperOperator):
         return transfer_matrix(channel.kraus_operators)
-    if isinstance(channel, LocalSuperOperator):
-        return transfer_matrix(channel.embedded_kraus())
     return None
 
 
@@ -468,25 +443,6 @@ class TransferSet:
     def after_each(self, earlier: TransferSuperOperator) -> "TransferSet":
         """Return ``{F ∘ earlier : F ∈ self}`` — one batched matmul."""
         return TransferSet(np.einsum("aij,jk->aik", self._stack, earlier.matrix))
-
-    def then_each_local(
-        self, small_transfer: np.ndarray, positions: Sequence[int]
-    ) -> "TransferSet":
-        """Return ``{L ∘ F : F ∈ self}`` for a local map ``L``.
-
-        ``small_transfer`` is the ``4^k × 4^k`` transfer matrix of a ``k``-local
-        map and ``positions`` its factor positions inside the ``4^n`` transfer
-        space (see :meth:`repro.superop.local.LocalSuperOperator.transfer_positions`);
-        the whole stack is updated by one local contraction of the row factors
-        instead of ``n`` dense ``4^n`` matrix products.
-        """
-        return TransferSet(apply_local_left(small_transfer, self._stack, positions))
-
-    def after_each_local(
-        self, small_transfer: np.ndarray, positions: Sequence[int]
-    ) -> "TransferSet":
-        """Return ``{F ∘ L : F ∈ self}`` for a local map ``L`` (column contraction)."""
-        return TransferSet(apply_local_right(self._stack, small_transfer, positions))
 
     def branch_sum_pairwise(self, other: "TransferSet") -> "TransferSet":
         """Return ``{F + G : F ∈ self, G ∈ other}`` via broadcasting.

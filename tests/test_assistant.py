@@ -172,6 +172,15 @@ class TestCli:
     def test_cli_missing_file(self, capsys):
         assert cli_main(["/does/not/exist.nqpv"]) == 2
 
+    def test_cli_backend_flag_and_removed_lifting_flag(self, tmp_path, capsys):
+        source_path = tmp_path / "program.nqpv"
+        source_path.write_text("{ P1[q] }; [q] *= X; { P0[q] }")
+        assert cli_main([str(source_path), "--backend", "transfer"]) == 0
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([str(source_path), "--lifting", "dense"])
+        assert excinfo.value.code == 2
+        assert "--lifting" in capsys.readouterr().err
+
     def test_cli_script_mode(self, tmp_path, capsys):
         script_path = tmp_path / "script.nqpv"
         script_path.write_text(

@@ -1,7 +1,7 @@
 """Smoke test of the unified scaling benchmark harness.
 
 Runs ``benchmarks/bench_scaling.py`` in ``--smoke`` mode against a temporary
-output path: the sweep must succeed, every backend × lifting combination must
+output path: the sweep must succeed, every backend must
 agree with the reference semantics, and the emitted JSON must follow the
 ``BENCH_scaling.json`` schema documented in the README.
 """
@@ -28,14 +28,14 @@ def test_smoke_sweep_writes_schema_conformant_json(tmp_path):
     assert isinstance(payload["claims"], dict)
 
     results = payload["results"]
-    expected_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 4
+    expected_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 2
     assert len(results) == expected_cells
     assert payload["jobs"] == 1
     assert payload["cpu_count"] >= 1
     for entry in results:
         assert entry["agrees_with_reference"] is True
         assert entry["backend"] in ("kraus", "transfer")
-        assert entry["lifting"] in ("dense", "local")
+        assert "lifting" not in entry
         assert entry["jobs"] == 1
         assert entry["seconds"] >= 0.0
         assert entry["num_qubits"] >= 2
@@ -48,7 +48,7 @@ def test_smoke_sweep_with_jobs_adds_parallel_cells(tmp_path):
 
     payload = json.loads(out.read_text())
     assert payload["jobs"] == 2
-    base_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 4
+    base_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 2
     jobs_entries = [e for e in payload["results"] if e["jobs"] != 1]
     serial_companions = payload["results"][base_cells:]
     # One serial + one jobs=2 row per smoke jobs cell, all agreeing.
@@ -58,21 +58,10 @@ def test_smoke_sweep_with_jobs_adds_parallel_cells(tmp_path):
     assert any(key.endswith("_jobs2_speedup") for key in payload["claims"])
 
 
-def test_headline_claims_indexing():
-    results = [
-        {"workload": "grover", "size": 4, "backend": "transfer", "lifting": "dense", "seconds": 1.0},
-        {"workload": "grover", "size": 4, "backend": "transfer", "lifting": "local", "seconds": 0.25},
-        # A jobs-sweep row for the same cell must not perturb the local claim.
-        {"workload": "grover", "size": 4, "backend": "transfer", "lifting": "dense", "jobs": 4, "seconds": 0.3},
-    ]
-    claims = bench_scaling.headline_claims(results)
-    assert claims == {"grover4_transfer_local_speedup": 4.0}
-
-
 def test_jobs_claims_indexing():
     results = [
-        {"workload": "qwalk", "size": 16, "backend": "transfer", "lifting": "dense", "jobs": 1, "seconds": 2.0},
-        {"workload": "qwalk", "size": 16, "backend": "transfer", "lifting": "dense", "jobs": 4, "seconds": 1.0},
+        {"workload": "qwalk", "size": 16, "backend": "transfer", "jobs": 1, "seconds": 2.0},
+        {"workload": "qwalk", "size": 16, "backend": "transfer", "jobs": 4, "seconds": 1.0},
     ]
     claims = bench_scaling.jobs_claims(results, 4)
     assert claims == {"qwalk16_transfer_jobs4_speedup": 2.0}

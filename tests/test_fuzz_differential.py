@@ -85,15 +85,14 @@ class TestGeneratorValidity:
 
 
 class TestDifferentialSweep:
-    """kraus/transfer × dense/local × jobs∈{1,2} agree on every fixed-seed draw."""
+    """kraus/transfer × jobs∈{1,2} agree on every fixed-seed draw."""
 
     def test_oracle_matrix_is_complete(self):
         labels = {combo.label for combo in DEFAULT_COMBOS}
-        assert len(labels) == 8
+        assert len(labels) == 4
         for backend in ("kraus", "transfer"):
-            for lifting in ("dense", "local"):
-                for jobs in (1, 2):
-                    assert f"{backend}/{lifting}/j{jobs}" in labels
+            for jobs in (1, 2):
+                assert f"{backend}/j{jobs}" in labels
 
     @pytest.mark.parametrize("chunk", range(SWEEP_COUNT // CHUNK))
     def test_all_representation_pairs_agree(self, chunk):

@@ -34,7 +34,6 @@ from repro.linalg.random import (
 from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.predicate import QuantumPredicate
 from repro.superop.kraus import SuperOperator
-from repro.superop.local import LocalSuperOperator
 from repro.superop.transfer import TransferSuperOperator
 
 #: Perturbation scale well below the digest grid (1e-9): most perturbed pairs
@@ -178,12 +177,11 @@ def test_boundary_straddling_superoperators_share_a_dict_bucket():
     assert hi in {lo: "cached"}
 
 
-def test_hash_consistent_across_all_three_representations():
+def test_hash_consistent_across_both_representations():
     dense = SuperOperator([H])
     transfer = TransferSuperOperator.from_kraus([H])
-    local = LocalSuperOperator.from_unitary(H, [0], 1)
-    assert dense == transfer and dense == local
-    assert hash(dense) == hash(transfer) == hash(local)
+    assert dense == transfer
+    assert hash(dense) == hash(transfer)
     assert hash(dense) == tolerance_safe_hash("superop", 2)
 
 

@@ -5,7 +5,7 @@ Covers the prerequisite refactors — the pure ``RandomScheduler``, the atomic
 the executor's serial-fallback rules, the worker-state merge protocol
 (cache deltas, metric sums, adopted span subtrees), and the acceptance sweep:
 serial and parallel runs of every case-study formula must produce *identical*
-results in *identical* order across backends, liftings and job counts.
+results in *identical* order across backends and job counts.
 """
 
 import pickle
@@ -34,7 +34,7 @@ from repro.programs.grover import grover_formula
 from repro.programs.qwalk import qwalk_formula, qwalk_invariant, qwalk_program, qwalk_register
 from repro.programs.rus import rus_formula, rus_invariant
 from repro.registers import QubitRegister
-from repro.semantics.denotational import BACKENDS, LIFTINGS, DenotationOptions, denotation
+from repro.semantics.denotational import BACKENDS, DenotationOptions, denotation
 from repro.semantics.schedulers import (
     ConstantScheduler,
     CyclicScheduler,
@@ -44,7 +44,6 @@ from repro.semantics.schedulers import (
 )
 from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
 from repro.superop.kraus import SuperOperator
-from repro.superop.local import LocalSuperOperator
 from repro.superop.transfer import TransferSet, TransferSuperOperator
 from repro.telemetry import configure_tracing, get_tracer, metrics_snapshot
 from repro.telemetry.metrics import METRICS, MetricsRegistry
@@ -224,8 +223,6 @@ def test_superoperators_pickle_roundtrip():
     assert _roundtrip(kraus).equals(kraus)
     transfer = TransferSuperOperator.from_superoperator(kraus)
     assert _roundtrip(transfer).equals(transfer)
-    local = LocalSuperOperator.from_unitary(hadamard, (0,), 2)
-    assert _roundtrip(local).equals(local)
     stack = TransferSet.from_operators([transfer, transfer.compose(transfer)])
     clone = _roundtrip(stack)
     assert len(clone) == len(stack)
@@ -233,7 +230,7 @@ def test_superoperators_pickle_roundtrip():
 
 
 def test_denotation_options_pickle_roundtrip():
-    options = DenotationOptions(backend="transfer", lifting="local", parallelism=2)
+    options = DenotationOptions(backend="transfer", parallelism=2)
     clone = _roundtrip(options)
     assert clone == options
 
@@ -437,15 +434,12 @@ def sweep_cases():
 
 
 CASES = list(sweep_cases())
-COMBINATIONS = [(backend, lifting) for backend in BACKENDS for lifting in LIFTINGS]
 JOB_COUNTS = (1, 2, 4)
 
 
 @pytest.mark.parametrize("name,formula,register,invariants", CASES, ids=[c[0] for c in CASES])
-@pytest.mark.parametrize(
-    "backend,lifting", COMBINATIONS, ids=[f"{b}-{l}" for b, l in COMBINATIONS]
-)
-def test_denotation_serial_parallel_differential(name, formula, register, invariants, backend, lifting):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_denotation_serial_parallel_differential(name, formula, register, invariants, backend):
     program = formula.program
     runs = {}
     for jobs in JOB_COUNTS:
@@ -453,7 +447,7 @@ def test_denotation_serial_parallel_differential(name, formula, register, invari
         # (the parallelism-agnostic cache key would otherwise serve jobs>1
         # straight from the jobs=1 entry and never exercise the workers).
         clear_result_cache()
-        options = DenotationOptions(backend=backend, lifting=lifting, parallelism=jobs)
+        options = DenotationOptions(backend=backend, parallelism=jobs)
         runs[jobs] = denotation(program, register, options)
     clear_result_cache()
     serial = runs[1]

@@ -12,6 +12,7 @@ import pytest
 from repro.exceptions import SemanticsError
 from repro.language.ast import While
 from repro.linalg.random import random_predicate_matrix
+from repro.logic.prover import ProverOptions
 from repro.predicates.assertion import QuantumAssertion
 from repro.programs import (
     deutsch_program,
@@ -24,7 +25,13 @@ from repro.programs import (
     teleport_program,
 )
 from repro.registers import QubitRegister
-from repro.semantics.denotational import DenotationOptions, denotation, loop_iterates
+from repro.semantics.denotational import (
+    DenotationOptions,
+    denotation,
+    initializer_channel,
+    loop_iterates,
+    measurement_pair,
+)
 from repro.semantics.equivalence import programs_equivalent
 from repro.semantics.schedulers import ConstantScheduler
 from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
@@ -133,3 +140,63 @@ def test_unknown_backend_is_rejected():
     conclusion = CorrectnessFormula(identity, Skip(), identity, CorrectnessMode.PARTIAL)
     with pytest.raises(SemanticsError):
         check_rule("Skip", conclusion, register=QubitRegister(["q"]), backend="krauss")
+    with pytest.raises(SemanticsError):
+        ProverOptions(backend="tranfer")
+
+
+def test_channel_helpers_reject_misspelled_backends():
+    # A typo must not silently fall back to Kraus-form maps.
+    register = QubitRegister(["q"])
+    loop = next(node for node in rus_program().walk() if isinstance(node, While))
+    with pytest.raises(SemanticsError):
+        measurement_pair(loop, register, backend="transfr")
+    with pytest.raises(SemanticsError):
+        initializer_channel(["q"], register, backend="transfr")
+    p0, p1 = measurement_pair(loop, register, backend="transfer")
+    assert isinstance(p0, TransferSuperOperator) and isinstance(p1, TransferSuperOperator)
+    channel = initializer_channel(["q"], register, backend="transfer")
+    assert isinstance(channel, TransferSuperOperator)
+
+
+def _backend_entry_points():
+    """Yield ``(id, call)`` for every public entry point that takes a backend name."""
+    from repro.assistant.verify import verify
+    from repro.language.ast import Skip
+    from repro.logic.checker import check_rule
+    from repro.logic.formula import CorrectnessFormula, CorrectnessMode
+    from repro.semantics.equivalence import program_refines
+
+    register = QubitRegister(["q"])
+    loop = next(node for node in rus_program().walk() if isinstance(node, While))
+    identity = QuantumAssertion.identity(1)
+    conclusion = CorrectnessFormula(identity, Skip(), identity, CorrectnessMode.PARTIAL)
+    program = rus_program()
+    yield "DenotationOptions", lambda b: DenotationOptions(backend=b)
+    yield "WpOptions", lambda b: WpOptions(backend=b)
+    yield "ProverOptions", lambda b: ProverOptions(backend=b)
+    yield "check_rule", lambda b: check_rule("Skip", conclusion, register=register, backend=b)
+    yield "measurement_pair", lambda b: measurement_pair(loop, register, backend=b)
+    yield "initializer_channel", lambda b: initializer_channel(["q"], register, backend=b)
+    yield "programs_equivalent", lambda b: programs_equivalent(program, program, backend=b)
+    yield "program_refines", lambda b: program_refines(program, program, backend=b)
+    yield "verify", lambda b: verify("{ I[q] }; skip; { I[q] }", backend=b)
+
+
+BACKEND_ENTRY_POINTS = list(_backend_entry_points())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [entry[1] for entry in BACKEND_ENTRY_POINTS],
+    ids=[entry[0] for entry in BACKEND_ENTRY_POINTS],
+)
+def test_every_backend_entry_point_rejects_a_misspelling(call):
+    with pytest.raises(SemanticsError, match="unknown semantics backend"):
+        call("transfr")
+    call("transfer")  # the correct spelling is accepted
+
+
+@pytest.mark.parametrize("options_type", [DenotationOptions, WpOptions, ProverOptions])
+def test_options_have_no_lifting_field(options_type):
+    with pytest.raises(TypeError):
+        options_type(**{"lifting": "local"})
