@@ -44,12 +44,6 @@ performance options:
 
   The switch is semantics-preserving: both backends agree to the library
   tolerance on every shipped case study.
-
-  --jobs N            shard scheduler exploration, pairwise products and the
-                      prover's per-predicate fan-out across N worker
-                      processes (default 1 = serial, 0 = one per CPU core);
-                      results and their ordering are identical to a serial
-                      run, small work sizes fall back to serial automatically
 """
 
 
@@ -83,14 +77,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         choices=list(BACKENDS),
         default="kraus",
         help="super-operator representation used by the semantic engines (default: kraus)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker processes for the parallel execution layer "
-        "(default: 1 = serial, 0 = one per CPU core)",
     )
     parser.add_argument(
         "--script",
@@ -197,11 +183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         session = Session(
             mode=CorrectnessMode(arguments.mode),
-            options=ProverOptions(
-                epsilon=arguments.epsilon,
-                backend=arguments.backend,
-                parallelism=arguments.jobs,
-            ),
+            options=ProverOptions(epsilon=arguments.epsilon, backend=arguments.backend),
             base_path=source_path.parent,
         )
         for definition in arguments.operator:

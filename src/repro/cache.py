@@ -56,6 +56,14 @@ DEFAULT_MAXSIZE = 4096
 _COUNTER_NAMES = ("cache.hits", "cache.misses", "cache.evictions")
 
 
+def _check_maxsize(maxsize) -> int:
+    """Return ``maxsize`` as an int, raising :class:`ValueError` if it is negative."""
+    maxsize = int(maxsize)
+    if maxsize < 0:
+        raise ValueError(f"cache capacity must be non-negative, got {maxsize}")
+    return maxsize
+
+
 class ResultCache:
     """A bounded, thread-safe LRU cache with per-region counters.
 
@@ -73,10 +81,9 @@ class ResultCache:
     def __init__(self, maxsize: int = DEFAULT_MAXSIZE, registry: Optional[MetricsRegistry] = None):
         self._data: "OrderedDict[Tuple[str, Hashable], Any]" = OrderedDict()
         self._lock = threading.Lock()
-        self._maxsize = int(maxsize)
+        self._maxsize = _check_maxsize(maxsize)
         self._enabled = True
         self._registry = registry if registry is not None else MetricsRegistry()
-        self._recording: Optional[list] = None
 
     # ------------------------------------------------------------------ access
     def lookup(self, region: str, key: Hashable):
@@ -112,8 +119,6 @@ class ResultCache:
         with self._lock:
             self._data[full_key] = value
             self._data.move_to_end(full_key)
-            if self._recording is not None:
-                self._recording.append((region, key, value))
             while len(self._data) > self._maxsize:
                 evicted_key, _ = self._data.popitem(last=False)
                 evicted_regions.append(evicted_key[0])
@@ -141,8 +146,6 @@ class ResultCache:
             else:
                 value = default
                 self._data[full_key] = default
-                if self._recording is not None:
-                    self._recording.append((region, key, default))
                 hit = False
                 while len(self._data) > self._maxsize:
                     evicted_key, _ = self._data.popitem(last=False)
@@ -154,24 +157,6 @@ class ResultCache:
         for evicted_region in evicted_regions:
             self._registry.counter("cache.evictions", region=evicted_region).inc()
         return value
-
-    # -------------------------------------------------------------- recording
-    def begin_recording(self) -> None:
-        """Start recording ``(region, key, value)`` triples of every insertion.
-
-        Used by the worker side of :mod:`repro.parallel` to capture the cache
-        entries a shard computed, so the parent process can replay them as
-        deltas into its own cache.
-        """
-        with self._lock:
-            self._recording = []
-
-    def take_recording(self) -> list:
-        """Stop recording and return the captured ``(region, key, value)`` triples."""
-        with self._lock:
-            recorded = self._recording or []
-            self._recording = None
-        return recorded
 
     # -------------------------------------------------------------- management
     @property
@@ -228,12 +213,14 @@ class ResultCache:
 
     def configure(self, maxsize: Optional[int] = None, enabled: Optional[bool] = None) -> None:
         """Adjust capacity and/or enablement; shrinking evicts LRU entries immediately."""
+        if maxsize is not None:
+            maxsize = _check_maxsize(maxsize)
         evicted_regions = []
         with self._lock:
             if enabled is not None:
                 self._enabled = bool(enabled)
             if maxsize is not None:
-                self._maxsize = int(maxsize)
+                self._maxsize = maxsize
                 while len(self._data) > self._maxsize:
                     evicted_key, _ = self._data.popitem(last=False)
                     evicted_regions.append(evicted_key[0])

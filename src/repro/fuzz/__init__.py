@@ -10,9 +10,9 @@ The package is the test-infrastructure spine behind ``tools/fuzz.py`` and the
   Clifford-only bias knob;
 * :mod:`repro.fuzz.differential` — the oracle: every generated program is run
   through the denotation engine and the wlp transformer under every
-  ``backend × jobs`` combination and the results are compared
-  pairwise to ``ATOL``; loop-free draws additionally check the prover's
-  verification condition against the semantic wlp;
+  backend and the results are compared pairwise to ``ATOL``; loop-free
+  draws additionally check the prover's verification condition against the
+  semantic wlp;
 * :mod:`repro.fuzz.shrink` — a delta-debugging shrinker (statement deletion,
   branch collapsing, qubit removal) that minimises a failing program while
   re-checking the oracle at every step.

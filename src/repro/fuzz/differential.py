@@ -8,18 +8,16 @@ through
 * the wlp transformer
   (:func:`repro.semantics.wp.weakest_liberal_precondition`)
 
-under every ``backend × jobs`` combination of
-:data:`DEFAULT_COMBOS`.  All pairs of runs must agree: denotation sets up to
-``ATOL`` on their Choi signatures (:func:`repro.superop.compare.set_equal`),
-wlp assertions up to ``ATOL`` on their predicate matrices.  Loop-free draws
-additionally check the prover's verification condition
-(:meth:`repro.logic.prover.Prover.generate`) against the semantic wlp — the
-relative-completeness equality of Sec. 5 that PR 4 repaired for (Meas).
+under every backend of :data:`DEFAULT_COMBOS`.  All pairs of runs must
+agree: denotation sets up to ``ATOL`` on their Choi signatures
+(:func:`repro.superop.compare.set_equal`), wlp assertions up to ``ATOL`` on
+their predicate matrices.  Loop-free draws additionally check the prover's
+verification condition (:meth:`repro.logic.prover.Prover.generate`) against
+the semantic wlp — the relative-completeness equality of Sec. 5.
 
-The process-wide result cache is cleared before every combination run:
-``parallelism`` is deliberately excluded from cache signatures, so without
-clearing, the ``jobs=2`` runs would replay the ``jobs=1`` entries and the
-comparison would be vacuous.
+The process-wide result cache is cleared before every combination run, so
+each run computes from scratch instead of replaying entries that an earlier
+draw or the caller left behind.
 
 Any disagreement is reported as a :class:`Divergence` carrying the rendered
 source and the copy-pasteable repro line
@@ -29,7 +27,7 @@ source and the copy-pasteable repro line
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,7 +39,7 @@ from ..linalg.constants import ATOL
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import Prover, ProverOptions
 from ..predicates.assertion import QuantumAssertion
-from ..semantics.denotational import DenotationOptions, denotation
+from ..semantics.denotational import BACKENDS, DenotationOptions, denotation
 from ..semantics.wp import WpOptions, weakest_liberal_precondition
 from ..superop.compare import set_equal
 from .generator import FuzzProgram
@@ -84,21 +82,18 @@ class ReplayProgram:
 
 @dataclass(frozen=True)
 class Combo:
-    """One cell of the oracle matrix: a backend × jobs combination."""
+    """One cell of the oracle matrix: a semantics backend."""
 
     backend: str
-    jobs: int = 1
 
     @property
     def label(self) -> str:
-        """Return the compact ``backend/jN`` display label."""
-        return f"{self.backend}/j{self.jobs}"
+        """Return the display label (the backend name)."""
+        return self.backend
 
 
-#: The full oracle matrix: kraus/transfer × jobs ∈ {1, 2}.
-DEFAULT_COMBOS: Tuple[Combo, ...] = tuple(
-    Combo(backend, jobs) for backend, jobs in product(("kraus", "transfer"), (1, 2))
-)
+#: The full oracle matrix: one cell per backend.
+DEFAULT_COMBOS: Tuple[Combo, ...] = tuple(Combo(backend) for backend in BACKENDS)
 
 
 @dataclass(frozen=True)
@@ -125,10 +120,6 @@ class OracleConfig:
     check_prover:
         Whether to compare the prover's verification condition against the
         semantic wlp on loop-free draws.
-    clear_cache:
-        Clear the process-wide result cache before each combination run, so
-        every combination genuinely recomputes (``parallelism`` shares cache
-        entries by design).
     """
 
     combos: Tuple[Combo, ...] = DEFAULT_COMBOS
@@ -138,7 +129,6 @@ class OracleConfig:
     convergence_tolerance: float = 1e-9
     sampled_schedulers: int = 2
     check_prover: bool = True
-    clear_cache: bool = True
 
 
 @dataclass(frozen=True)
@@ -235,21 +225,18 @@ def _assertions_close(a: QuantumAssertion, b: QuantumAssertion, atol: float) -> 
 
 def _combo_run(program, postcondition, register, combo: Combo, config: OracleConfig):
     """Run denotation + wlp for one combination, returning ``(channels, wlp)``."""
-    if config.clear_cache:
-        clear_result_cache()
+    clear_result_cache()
     den_options = DenotationOptions(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
         backend=combo.backend,
-        parallelism=combo.jobs,
     )
     wp_options = WpOptions(
         max_iterations=config.max_iterations,
         convergence_tolerance=config.convergence_tolerance,
         sampled_schedulers=config.sampled_schedulers,
         backend=combo.backend,
-        parallelism=combo.jobs,
     )
     channels = denotation(program, register, den_options)
     wlp = weakest_liberal_precondition(program, postcondition, register, wp_options)
@@ -329,8 +316,7 @@ def check_program(
 
     if config.check_prover and not has_loop and results:
         combo, _, wlp = results[0]
-        if config.clear_cache:
-            clear_result_cache()
+        clear_result_cache()
         prover = Prover(
             register,
             mode=CorrectnessMode.PARTIAL,

@@ -236,14 +236,11 @@ def register_signature(register) -> Tuple[str, ...]:
 def options_signature(options) -> Optional[tuple]:
     """Return a hashable signature of a dataclass of options, or ``None``.
 
-    The signature covers every field by ``repr``.  Two fields are
+    The signature covers every field by ``repr``.  One field is
     special-cased: explicit ``schedulers`` objects carry arbitrary user state
     the cache cannot canonicalise, so any non-``None`` value makes the whole
     computation *uncacheable* (returns ``None``) while the default policy
-    (``schedulers=None``, deterministic seeded sampling) stays cacheable; and
-    ``parallelism`` is *excluded* — it selects an execution strategy, not a
-    semantics, and serial/parallel runs produce identical results by
-    construction, so they must share cache entries.
+    (``schedulers=None``, deterministic seeded sampling) stays cacheable.
     """
     parts: List[tuple] = [("type", type(options).__name__)]
     for field in dataclass_fields(options):
@@ -251,8 +248,6 @@ def options_signature(options) -> Optional[tuple]:
         if field.name == "schedulers":
             if value is not None:
                 return None
-            continue
-        if field.name == "parallelism":
             continue
         parts.append((field.name, repr(value)))
     return tuple(parts)

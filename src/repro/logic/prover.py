@@ -20,6 +20,7 @@ precondition with the ``⊑_inf`` decision procedure, reproducing the behaviour
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -35,7 +36,6 @@ from ..predicates.order import OrderCheckResult, leq_inf
 from ..registers import QubitRegister
 from ..semantics.denotational import (
     _check_backend,
-    _check_parallelism,
     initializer_channel,
     measurement_pair,
 )
@@ -53,7 +53,8 @@ class ProverOptions:
     Attributes
     ----------
     epsilon:
-        Precision of the ``⊑_inf`` order decision procedure.
+        Precision of the ``⊑_inf`` order decision procedure; a finite,
+        non-negative number.
     ranking_truncation:
         Truncation length of synthesised ranking sequences (total correctness).
     check_rankings:
@@ -61,22 +62,21 @@ class ProverOptions:
     backend:
         Super-operator representation used when rules apply channels to
         assertions: ``"kraus"`` (default) or ``"transfer"``.
-    parallelism:
-        Worker processes for the per-postcondition-predicate (Meas)+(Union)
-        fan-out and the loop exploration of the underlying semantics — ``1``
-        (default) is serial, ``0`` means one worker per CPU core; results are
-        identical to the serial run (see :mod:`repro.parallel`).
     """
 
     epsilon: float = 1e-6
     ranking_truncation: int = 64
     check_rankings: bool = True
     backend: str = "kraus"
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
         _check_backend(self.backend)
-        _check_parallelism(self.parallelism)
+        # ``inf`` would accept every order check and ``nan`` or a negative
+        # value would reject true ones, so neither is a precision.
+        if not math.isfinite(self.epsilon) or self.epsilon < 0:
+            raise VerificationError(
+                f"epsilon must be a finite non-negative number, got {self.epsilon!r}"
+            )
 
 
 @dataclass
@@ -321,10 +321,7 @@ class Prover:
         """Return :class:`DenotationOptions` matching the prover's representation choices."""
         from ..semantics.denotational import DenotationOptions
 
-        return DenotationOptions(
-            backend=self.options.backend,
-            parallelism=self.options.parallelism,
-        )
+        return DenotationOptions(backend=self.options.backend)
 
     def _measurement_pair(self, program):
         """Build ``(P⁰, P¹)`` in the representation requested by the options."""
@@ -352,14 +349,12 @@ class Prover:
             # branch annotations hit the prover's memo when posts repeat, so
             # nested conditionals do not compound the extra traversals.
             pre: QuantumAssertion | None = None
-            branch_pairs = self._meas_union_parallel(program, post)
-            if branch_pairs is None:
-                branch_pairs = []
-                for predicate in post.predicates:
-                    single = QuantumAssertion([predicate])
-                    then_pre = self._annotate(program.then_branch, single).precondition
-                    else_pre = self._annotate(program.else_branch, single).precondition
-                    branch_pairs.append((then_pre, else_pre))
+            branch_pairs = []
+            for predicate in post.predicates:
+                single = QuantumAssertion([predicate])
+                then_pre = self._annotate(program.then_branch, single).precondition
+                else_pre = self._annotate(program.else_branch, single).precondition
+                branch_pairs.append((then_pre, else_pre))
             for then_pre, else_pre in branch_pairs:
                 with span("vc-transform", region="prover", rule="Meas+Union"):
                     part = measured_sum(p0, else_pre, p1, then_pre)
@@ -368,65 +363,6 @@ class Prover:
         return AnnotatedStatement(
             program, pre, post, rule=rule, children=[then_child, else_child]
         )
-
-    def _meas_union_parallel(self, program: If, post: QuantumAssertion):
-        """Shard the per-predicate branch annotations; ``None`` means "run serially".
-
-        Workers rebuild a fresh prover over the pickled branch subtrees, so
-        the parent's ``id``-keyed loop invariants are re-keyed by content
-        digest for transport and re-attached by walking the worker-side
-        copies.  Two *different* invariants on digest-equal loops cannot be
-        told apart after pickling — that (pathological) case falls back to
-        serial, as does a missing invariant (the serial path raises the
-        user-facing :class:`InvariantError`).  Returns the
-        ``(then_pre, else_pre)`` pairs in predicate order; worker-side proof
-        events are appended to this prover's log (their metric counters
-        arrive via the worker state merge instead of :meth:`_record`, so
-        nothing is double-counted).
-        """
-        if self.options.parallelism == 1:
-            return None
-        invariants_by_digest: Dict[str, QuantumAssertion] = {}
-        for branch in (program.then_branch, program.else_branch):
-            for node in branch.walk():
-                if isinstance(node, While):
-                    invariant = self.invariants.get(id(node))
-                    if invariant is None:
-                        return None
-                    digest = node_digest(node)
-                    existing = invariants_by_digest.get(digest)
-                    if existing is not None and assertion_digest(existing) != assertion_digest(invariant):
-                        return None
-                    invariants_by_digest[digest] = invariant
-        from ..parallel.executor import effective_jobs, parallel_map, shard_evenly
-        from ..parallel.worker import prover_predicate_shard
-
-        shards = shard_evenly(list(post.predicates), effective_jobs(self.options.parallelism))
-        payloads = [
-            (
-                program.then_branch,
-                program.else_branch,
-                shard,
-                self.register,
-                self.mode,
-                self.options,
-                invariants_by_digest,
-            )
-            for shard in shards
-        ]
-        shard_results = parallel_map(
-            prover_predicate_shard,
-            payloads,
-            self.options.parallelism,
-            work_size=self.register.dimension,
-        )
-        if shard_results is None:
-            return None
-        pairs = []
-        for then_pre, else_pre, events in (item for shard in shard_results for item in shard):
-            self.events.extend(events)
-            pairs.append((then_pre, else_pre))
-        return pairs
 
     def _annotate_while(self, program: While, post: QuantumAssertion) -> AnnotatedStatement:
         invariant = self.invariants.get(id(program))

@@ -75,14 +75,6 @@ def _check_backend(backend: str) -> None:
         )
 
 
-def _check_parallelism(parallelism: int) -> None:
-    """Raise :class:`SemanticsError` unless ``parallelism`` is a valid worker count."""
-    if not isinstance(parallelism, int) or parallelism < 0:
-        raise SemanticsError(
-            "parallelism must be a non-negative integer (0 = one worker per CPU core)"
-        )
-
-
 @dataclass
 class DenotationOptions:
     """Options steering the (approximate) computation of loop denotations.
@@ -107,12 +99,6 @@ class DenotationOptions:
         Whether to remove duplicate super-operators from denotation sets.
     backend:
         ``"kraus"`` or ``"transfer"`` — see the module docstring.
-    parallelism:
-        Worker processes for scheduler exploration and pairwise products
-        (see :mod:`repro.parallel`).  ``1`` (default) runs serially, ``0``
-        means one worker per CPU core.  An execution strategy only: results
-        and their ordering are identical to the serial run, and the field is
-        excluded from cache signatures.
     """
 
     max_iterations: int = 64
@@ -122,11 +108,9 @@ class DenotationOptions:
     simplify_threshold: int = 64
     dedup: bool = True
     backend: str = "kraus"
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
         _check_backend(self.backend)
-        _check_parallelism(self.parallelism)
 
 
 def measurement_superoperators(statement, register: QubitRegister):
@@ -270,17 +254,12 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
                 region="denotation",
                 statement=type(statement).__name__,
                 set_size=len(current) * len(step),
-            ) as seq_span:
-                composed = _kraus_pairwise_parallel(current, step, register, options)
-                if composed is None:
-                    composed = [
-                        _maybe_simplify(later.compose(earlier), options)
-                        for earlier in current
-                        for later in step
-                    ]
-                else:
-                    seq_span.set_tag("parallel", True)
-                current = composed
+            ):
+                current = [
+                    _maybe_simplify(later.compose(earlier), options)
+                    for earlier in current
+                    for later in step
+                ]
                 if options.dedup and len(current) > 1:
                     current = deduplicate(current)
         return current
@@ -334,13 +313,8 @@ def _denote_transfer(
                 region="denotation",
                 statement=type(statement).__name__,
                 set_size=len(current) * len(step),
-            ) as seq_span:
-                composed = _transfer_pairwise_parallel(step, current, register, options)
-                if composed is None:
-                    composed = step.compose_pairwise(current)
-                else:
-                    seq_span.set_tag("parallel", True)
-                current = composed
+            ):
+                current = step.compose_pairwise(current)
                 if options.dedup and len(current) > 1:
                     current = current.deduplicated()
         return current
@@ -407,7 +381,7 @@ class _GlobalPrefixCache:
         """Return the cached prefix, inserting ``default`` atomically on a miss.
 
         Delegates to :meth:`ResultCache.get_or_set` — one lock hold for the
-        lookup and the insertion, so concurrent workers exploring loops with
+        lookup and the insertion, so concurrent threads exploring loops with
         shared prefixes cannot interleave duplicate inserts or double-count
         hits and misses.
         """
@@ -442,7 +416,7 @@ def deterministic_loop_bypass(program, body_maps, options) -> bool:
     deterministic — no nondeterministic choice anywhere, which also manifests
     as a single body denotation.  Every scheduler then resolves to the same
     chain, so the single ``ConstantScheduler(0)`` run is the whole semantics
-    and sampling, fan-out and worker sharding are pure overhead.
+    and sampling and fan-out are pure overhead.
     """
     if options.schedulers is not None or len(body_maps) != 1:
         return False
@@ -452,7 +426,7 @@ def deterministic_loop_bypass(program, body_maps, options) -> bool:
 
 
 def _explore_loop(program, register, body_maps, options: DenotationOptions) -> List:
-    """Run :func:`loop_iterates` for every scheduler, sharding across workers when asked."""
+    """Run :func:`loop_iterates` for every scheduler and return each chain's limit."""
     if deterministic_loop_bypass(program, body_maps, options):
         with span(
             "loop",
@@ -479,11 +453,7 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
         schedulers=len(schedulers),
         body_maps=len(body_maps),
         num_qubits=register.num_qubits,
-    ) as loop_span:
-        results = _explore_loop_parallel(program, register, body_maps, schedulers, options)
-        if results is not None:
-            loop_span.set_tag("parallel", True)
-            return results
+    ):
         prefix_cache = loop_prefix_cache(program, register, options, len(schedulers))
         results = []
         for scheduler in schedulers:
@@ -492,31 +462,6 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
             )
             results.append(iterates[-1])
     return results
-
-
-def _explore_loop_parallel(program, register, body_maps, schedulers, options) -> Optional[List]:
-    """Shard the per-scheduler loop exploration; ``None`` means "run serially".
-
-    Each worker explores a contiguous slice of the scheduler list with its own
-    shard-local prefix cache (the worker's global-cache insertions come back
-    in its state delta); flattening the per-shard results in slice order
-    reproduces the serial scheduler order exactly.
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import effective_jobs, parallel_map, shard_evenly
-    from ..parallel.worker import loop_scheduler_shard
-
-    shards = shard_evenly(schedulers, effective_jobs(options.parallelism))
-    payloads = [
-        (program, register, list(body_maps), shard, options) for shard in shards
-    ]
-    shard_results = parallel_map(
-        loop_scheduler_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return [result for shard in shard_results for result in shard]
 
 
 def _denote_while(
@@ -609,66 +554,6 @@ def loop_iterates(
                 break
         chain_span.set_tag("iterations", len(iterates))
     return iterates
-
-
-def _kraus_pairwise_parallel(current, step, register, options) -> Optional[List]:
-    """Shard the earlier×later Kraus products of one Seq step; ``None`` = serial.
-
-    The serial composition is ``earlier``-major, so the *current* set is what
-    gets sliced: concatenating the shard outputs in slice order reproduces
-    the serial product order element for element.
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import (
-        MIN_PAIRWISE_PRODUCTS,
-        effective_jobs,
-        parallel_map,
-        shard_evenly,
-    )
-    from ..parallel.worker import kraus_pairwise_shard
-
-    if len(current) * len(step) < MIN_PAIRWISE_PRODUCTS:
-        return None
-    shards = shard_evenly(current, effective_jobs(options.parallelism))
-    payloads = [(shard, step, options) for shard in shards]
-    shard_results = parallel_map(
-        kraus_pairwise_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return [channel for shard in shard_results for channel in shard]
-
-
-def _transfer_pairwise_parallel(step, current, register, options) -> Optional[TransferSet]:
-    """Shard a batched ``step.compose_pairwise(current)``; ``None`` = serial.
-
-    ``compose_pairwise`` is *earlier*-major (matching the Kraus backend's
-    serial enumeration — the cross-backend ordering invariant the sampled
-    schedulers rely on), so the accumulated ``current`` stack is what gets
-    sliced and the shard outputs concatenate along axis 0 into the serial
-    stack order.
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import (
-        MIN_PAIRWISE_PRODUCTS,
-        effective_jobs,
-        parallel_map,
-        shard_evenly,
-    )
-    from ..parallel.worker import transfer_pairwise_shard
-
-    if len(step) * len(current) < MIN_PAIRWISE_PRODUCTS:
-        return None
-    shards = shard_evenly(current.stack, effective_jobs(options.parallelism))
-    payloads = [(shard, step.stack) for shard in shards]
-    shard_results = parallel_map(
-        transfer_pairwise_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return TransferSet(np.concatenate(shard_results, axis=0))
 
 
 def _maybe_simplify(channel, options: DenotationOptions):

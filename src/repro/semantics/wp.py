@@ -33,7 +33,6 @@ from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
     _check_backend,
-    _check_parallelism,
     _loop_schedulers,
     deterministic_loop_bypass,
     initializer_channel,
@@ -53,11 +52,6 @@ class WpOptions:
     ``"transfer"`` turns every adjoint application into a single
     conjugate-transpose matmul on the vectorised predicate (see
     :mod:`repro.superop.transfer`).
-
-    ``parallelism`` shards the per-scheduler loop evaluation (and the body
-    denotations, which forward it) across worker processes — ``1`` (default)
-    is serial, ``0`` means one worker per CPU core; results are identical to
-    the serial run (see :mod:`repro.parallel`).
     """
 
     max_iterations: int = 64
@@ -65,11 +59,9 @@ class WpOptions:
     sampled_schedulers: int = 2
     convergence_tolerance: float = 1e-9
     backend: str = "kraus"
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
         _check_backend(self.backend)
-        _check_parallelism(self.parallelism)
 
 
 def weakest_precondition(
@@ -221,7 +213,7 @@ def _xp_while(
 
     if deterministic_loop_bypass(program, body_choices, options):
         # Statically deterministic loop: every scheduler resolves to the same
-        # backward chain, so evaluate it once and skip sampling and sharding.
+        # backward chain, so evaluate it once and skip sampling.
         with span("wp-loop", region="wp", schedulers=1, liberal=liberal) as wp_span:
             wp_span.set_tag("deterministic_bypass", True)
             return [
@@ -240,58 +232,14 @@ def _xp_while(
             ]
     schedulers = _loop_schedulers(options, len(body_choices))
     results: List[QuantumPredicate] = []
-    with span("wp-loop", region="wp", schedulers=len(schedulers), liberal=liberal) as wp_span:
-        sharded = _xp_while_parallel(
-            program, post, register, options, liberal, p0, p1, body_choices, schedulers
-        )
-        if sharded is not None:
-            wp_span.set_tag("parallel", True)
-            results.extend(sharded)
-        else:
-            results.extend(
-                _xp_while_scheduler(
-                    program, post, register, options, liberal, p0, p1, body_choices, scheduler, identity
-                )
-                for scheduler in schedulers
+    with span("wp-loop", region="wp", schedulers=len(schedulers), liberal=liberal):
+        results.extend(
+            _xp_while_scheduler(
+                program, post, register, options, liberal, p0, p1, body_choices, scheduler, identity
             )
+            for scheduler in schedulers
+        )
     return _dedup(results)
-
-
-def _xp_while_parallel(
-    program: While,
-    post: QuantumPredicate,
-    register: QubitRegister,
-    options: WpOptions,
-    liberal: bool,
-    p0,
-    p1,
-    body_choices: List,
-    schedulers: List[Scheduler],
-) -> Optional[List[QuantumPredicate]]:
-    """Shard the per-scheduler backward loop evaluation; ``None`` means "run serially".
-
-    Workers receive contiguous scheduler slices plus the already-computed
-    measurement pair and body denotations, so no semantics is recomputed;
-    flattening the shard results in slice order reproduces the serial
-    scheduler order (the caller's ``_dedup`` keeps first occurrences either
-    way).
-    """
-    if options.parallelism == 1:
-        return None
-    from ..parallel.executor import effective_jobs, parallel_map, shard_evenly
-    from ..parallel.worker import wp_loop_shard
-
-    shards = shard_evenly(schedulers, effective_jobs(options.parallelism))
-    payloads = [
-        (program, post, register, options, liberal, p0, p1, list(body_choices), shard)
-        for shard in shards
-    ]
-    shard_results = parallel_map(
-        wp_loop_shard, payloads, options.parallelism, work_size=register.dimension
-    )
-    if shard_results is None:
-        return None
-    return [predicate for shard in shard_results for predicate in shard]
 
 
 def _xp_while_scheduler(
@@ -334,7 +282,6 @@ def _body_denotations(program: While, register: QubitRegister, options: WpOption
         schedulers=options.schedulers,
         sampled_schedulers=options.sampled_schedulers,
         backend=options.backend,
-        parallelism=options.parallelism,
     )
     return denotation(program.body, register, body_options)
 

@@ -181,6 +181,15 @@ class TestCli:
         assert excinfo.value.code == 2
         assert "--lifting" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "-1.0"])
+    def test_cli_rejects_invalid_epsilon(self, tmp_path, capsys, epsilon):
+        source_path = tmp_path / "program.nqpv"
+        source_path.write_text("{ P0[q] }; [q] *= X; { P0[q] }")
+        assert cli_main([str(source_path), "--epsilon", epsilon]) == 1
+        captured = capsys.readouterr()
+        assert "error: epsilon must be a finite non-negative number" in captured.err
+        assert "verification:" not in captured.out
+
     def test_cli_script_mode(self, tmp_path, capsys):
         script_path = tmp_path / "script.nqpv"
         script_path.write_text(

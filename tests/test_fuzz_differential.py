@@ -24,6 +24,7 @@ from repro.fuzz import (
 from repro.fuzz.differential import check_program, repro_line
 from repro.fuzz.generator import FGate, FuzzProgram
 from repro.language.parser import parse_annotated_program
+from repro.semantics.denotational import BACKENDS
 
 #: The fixed sweep identity: every run checks the same 200 programs.
 SWEEP_SEED = 20260808
@@ -85,14 +86,10 @@ class TestGeneratorValidity:
 
 
 class TestDifferentialSweep:
-    """kraus/transfer × jobs∈{1,2} agree on every fixed-seed draw."""
+    """The kraus and transfer backends agree on every fixed-seed draw."""
 
     def test_oracle_matrix_is_complete(self):
-        labels = {combo.label for combo in DEFAULT_COMBOS}
-        assert len(labels) == 4
-        for backend in ("kraus", "transfer"):
-            for jobs in (1, 2):
-                assert f"{backend}/j{jobs}" in labels
+        assert [combo.label for combo in DEFAULT_COMBOS] == list(BACKENDS)
 
     @pytest.mark.parametrize("chunk", range(SWEEP_COUNT // CHUNK))
     def test_all_representation_pairs_agree(self, chunk):

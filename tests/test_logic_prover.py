@@ -191,3 +191,13 @@ class TestProofOutlines:
         rules = report.outline.rules_used()
         assert rules[0] == "NDet"
         assert "Skip" in rules and "Abort" in rules
+
+
+class TestProverOptions:
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), -1.0, -1e-12])
+    def test_invalid_epsilon_rejected(self, epsilon):
+        with pytest.raises(VerificationError, match="epsilon"):
+            ProverOptions(epsilon=epsilon)
+
+    def test_zero_epsilon_is_accepted(self):
+        assert ProverOptions(epsilon=0.0).epsilon == 0.0

@@ -8,10 +8,18 @@ caller tolerances after the de-clamping, and a cached-vs-uncached correctness
 sweep over the case-study formulas at 2–4 qubits × backend.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.cache import RESULT_CACHE, ResultCache, cache_stats, clear_result_cache
+from repro.cache import (
+    RESULT_CACHE,
+    ResultCache,
+    cache_stats,
+    clear_result_cache,
+    configure_result_cache,
+)
 from repro.language.ast import If, Measurement, Unitary, seq
 from repro.linalg.constants import ATOL, H, ORDER_ATOL, P0, P1, X, Z
 from repro.logic.formula import CorrectnessFormula, CorrectnessMode
@@ -74,6 +82,74 @@ def test_result_cache_none_key_bypasses_and_disable_switch():
     assert cache.lookup("r", "k") is MISS
     cache.configure(enabled=True)
     assert cache.stats()["enabled"] is True
+
+
+@pytest.mark.parametrize("maxsize", [-1, -4096])
+def test_negative_capacity_is_rejected_before_any_state_change(maxsize):
+    with pytest.raises(ValueError):
+        ResultCache(maxsize=maxsize)
+    cache = ResultCache(maxsize=4)
+    cache.store("r", "a", 1)
+    with pytest.raises(ValueError):
+        cache.configure(maxsize=maxsize, enabled=False)
+    stats = cache.stats()
+    assert (stats["size"], stats["maxsize"], stats["enabled"]) == (1, 4, True)
+    RESULT_CACHE.store("r", "a", 1)
+    before = RESULT_CACHE.stats()
+    with pytest.raises(ValueError):
+        configure_result_cache(maxsize=maxsize)
+    assert RESULT_CACHE.stats() == before
+    assert RESULT_CACHE.lookup("r", "a") == 1
+
+
+def test_zero_capacity_caches_nothing():
+    cache = ResultCache(maxsize=0)
+    cache.store("r", "a", 1)
+    assert cache.stats()["size"] == 0
+    assert cache.get_or_set("r", "b", 2) == 2
+    assert cache.stats()["size"] == 0
+
+
+class TestGetOrSet:
+    def test_hit_and_miss_counters_bump_exactly_once(self):
+        cache = ResultCache(maxsize=8)
+        assert cache.get_or_set("r", "k", 1) == 1  # miss, inserts
+        assert cache.get_or_set("r", "k", 2) == 1  # hit, keeps first value
+        stats = cache.stats()["regions"]["r"]
+        assert stats == {"hits": 1, "misses": 1, "evictions": 0}
+
+    def test_uncacheable_key_returns_default_untouched(self):
+        cache = ResultCache(maxsize=8)
+        assert cache.get_or_set("r", None, "d") == "d"
+        assert cache.stats()["regions"] == {}
+
+    def test_concurrent_racers_agree_on_one_value(self):
+        cache = ResultCache(maxsize=64)
+        barrier = threading.Barrier(8)
+        winners = []
+
+        def race(token):
+            barrier.wait()
+            winners.append(cache.get_or_set("race", "key", token))
+
+        threads = [threading.Thread(target=race, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        # Exactly one insert won; every thread observed the winner's value,
+        # and hit + miss counts account for all eight calls with one miss.
+        assert len(set(winners)) == 1
+        stats = cache.stats()["regions"]["race"]
+        assert stats["misses"] == 1
+        assert stats["hits"] == 7
+
+    def test_eviction_still_bounded(self):
+        cache = ResultCache(maxsize=2)
+        for index in range(5):
+            cache.get_or_set("r", f"k{index}", index)
+        assert cache.stats()["size"] == 2
+        assert cache.stats()["regions"]["r"]["evictions"] == 3
 
 
 def test_cache_stats_reports_process_wide_regions():

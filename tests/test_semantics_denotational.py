@@ -1,5 +1,7 @@
 """Unit tests for the lifted denotational semantics (Fig. 2, Lemmas 3.1–3.2)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,8 @@ class TestMeasurementSuperoperators:
         p0, p1 = measurement_superoperators(statement, q_register)
         assert operators_close(p0.apply(density(plus_state())), 0.5 * density(ket("0")))
         assert operators_close(p1.apply(density(plus_state())), 0.5 * density(ket("1")))
+
+
+def test_denotation_options_pickle_roundtrip():
+    options = DenotationOptions(backend="transfer", sampled_schedulers=3)
+    assert pickle.loads(pickle.dumps(options)) == options

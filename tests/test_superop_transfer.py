@@ -1,5 +1,7 @@
 """Unit tests for the transfer-matrix (Liouville) super-operator backend."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,18 @@ class TestTransferSet:
         assert images.shape == (2, 2, 2)
         assert np.allclose(images[0], h.apply(rho), atol=1e-12)
         assert np.allclose(images[1], x.apply(rho), atol=1e-12)
+
+
+def test_superoperators_pickle_roundtrip():
+    def roundtrip(value):
+        return pickle.loads(pickle.dumps(value))
+
+    hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+    kraus = SuperOperator([np.kron(hadamard, np.eye(2))])
+    assert roundtrip(kraus).equals(kraus)
+    transfer = TransferSuperOperator.from_superoperator(kraus)
+    assert roundtrip(transfer).equals(transfer)
+    stack = TransferSet.from_operators([transfer, transfer.compose(transfer)])
+    clone = roundtrip(stack)
+    assert len(clone) == len(stack)
+    assert all(a.equals(b) for a, b in zip(clone.operators(), stack.operators()))
