@@ -34,13 +34,13 @@ performance options:
   README "Scaling guide" for the measured table):
 
   --backend kraus     operator-list (Kraus) representation; the paper's
-                      presentation (default).  Best for nondeterministic
-                      sets and loop-free circuits (qwalk16 denotation:
-                      105 ms vs 1462 ms with transfer)
+                      presentation (default).  Fastest on every measured
+                      workload (qwalk16 denotation: 20 ms vs 1199 ms with
+                      transfer; 3-qubit Grover sampling loop: 11.5 ms vs
+                      18 ms)
   --backend transfer  d²×d² transfer-matrix representation; every
-                      composition is one dense matmul.  Best for deep loops
-                      with a single body (3-qubit Grover sampling loop:
-                      24 ms vs 90 ms with kraus)
+                      composition is one dense matmul.  An independent
+                      second implementation to cross-check kraus against
 
   The switch is semantics-preserving: both backends agree to the library
   tolerance on every shipped case study.

@@ -84,8 +84,13 @@ class DenotationOptions:
     max_iterations:
         Truncation bound for the while-loop chains ``F^η_n``.
     convergence_tolerance:
-        The chain is considered converged when the trace norm of the increment
-        between consecutive iterates drops below this value.
+        The chain is considered converged when the entrywise ℓ1 norm of the
+        increment between consecutive iterates (the sum of absolute Choi-matrix
+        entries, the same entries as the transfer matrix) drops below this
+        value.  That norm bounds the trace norm of the Choi difference from
+        above, so the test is at least as strict as a trace-norm test.  The
+        chain also stops once the remaining prefix's maximal success
+        probability drops below this value.
     schedulers:
         Explicit schedulers to explore for every loop.  When ``None``, all
         constant schedulers are used plus ``sampled_schedulers`` random ones.
@@ -526,6 +531,9 @@ def loop_iterates(
             prefix = identity
         total = p0.compose(prefix)
         iterates.append(total)
+        # Kraus mode: the Choi matrix of ``total``, carried over from the
+        # previous gap so each iteration builds only the new iterate's.
+        total_choi = None if transfer_mode else total.choi()
         for iteration in range(1, options.max_iterations + 1):
             choice = scheduler.select(iteration, len(body_maps))
             choices = choices + (choice,)
@@ -544,7 +552,9 @@ def loop_iterates(
             if transfer_mode:
                 gap = float(np.abs(new_total.matrix - total.matrix).sum())
             else:
-                gap = float(np.abs(new_total.choi() - total.choi()).sum())
+                new_choi = new_total.choi()
+                gap = float(np.abs(new_choi - total_choi).sum())
+                total_choi = new_choi
             total = new_total
             if gap < options.convergence_tolerance:
                 break

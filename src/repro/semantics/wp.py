@@ -52,6 +52,13 @@ class WpOptions:
     ``"transfer"`` turns every adjoint application into a single
     conjugate-transpose matmul on the vectorised predicate (see
     :mod:`repro.superop.transfer`).
+
+    ``convergence_tolerance`` stops a loop's backward predicate sequence once
+    the largest entrywise change between successive predicates,
+    ``max |P_n − P_{n−1}|``, drops below it.  It is also passed on as
+    :attr:`DenotationOptions.convergence_tolerance
+    <repro.semantics.denotational.DenotationOptions>` when the loop body's
+    denotations are computed.
     """
 
     max_iterations: int = 64

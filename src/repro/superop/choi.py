@@ -22,7 +22,7 @@ from typing import Iterable, List
 
 import numpy as np
 
-from ..exceptions import LinalgError
+from ..exceptions import DimensionMismatchError, LinalgError
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive, loewner_le
 
@@ -42,16 +42,21 @@ def choi_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
 
     ``vec`` stacks matrix rows, so the Choi matrix equals
     ``Σ_{jk} |j⟩⟨k| ⊗ E(|j⟩⟨k|)`` up to the chosen vectorisation convention.
+    With the ``k`` vectorised operators as the rows of ``V`` the sum is the
+    single product ``Vᵀ · conj(V)``, so the ``k`` rank-one updates run as one
+    BLAS call.
+
+    Raises :class:`DimensionMismatchError` unless the operators are square
+    matrices of one common shape.
     """
     kraus = [np.asarray(operator, dtype=complex) for operator in kraus_operators]
     if not kraus:
         raise LinalgError("a Choi matrix needs at least one Kraus operator")
-    dimension = kraus[0].shape[0]
-    choi = np.zeros((dimension * dimension, dimension * dimension), dtype=complex)
-    for operator in kraus:
-        vectorised = operator.reshape(-1, 1)
-        choi = choi + vectorised @ dagger(vectorised)
-    return choi
+    shape = kraus[0].shape
+    if len(shape) != 2 or shape[0] != shape[1] or any(operator.shape != shape for operator in kraus):
+        raise DimensionMismatchError("Kraus operators must be square matrices of one common shape")
+    vectorised = np.stack(kraus).reshape(len(kraus), -1)
+    return vectorised.T @ vectorised.conj()
 
 
 def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
@@ -76,6 +81,8 @@ def choi_from_apply(apply_map, dimension: int) -> np.ndarray:
 def kraus_from_choi(choi: np.ndarray, atol: float = 1e-10) -> List[np.ndarray]:
     """Recover a minimal Kraus decomposition from a Choi matrix."""
     choi = np.asarray(choi, dtype=complex)
+    if choi.ndim != 2 or choi.shape[0] != choi.shape[1]:
+        raise LinalgError(f"a Choi matrix must be square, got shape {choi.shape}")
     side = choi.shape[0]
     dimension = int(round(np.sqrt(side)))
     if dimension * dimension != side:

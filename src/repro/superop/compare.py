@@ -9,15 +9,20 @@ All set-level functions accept any mix of Kraus-form
 :class:`~repro.superop.kraus.SuperOperator` and transfer-matrix
 :class:`~repro.superop.transfer.TransferSuperOperator` elements: each map is
 reduced once to a flattened Choi-entry *signature* (the same ``d⁴`` complex
-numbers in every faithful representation), after which duplicate detection
-and subset checks are vectorised row comparisons on the stacked signatures —
+numbers in every faithful representation): one BLAS matrix product for a
+Kraus-form map, a permutation for a transfer-form map.  Duplicate detection
+and subset checks then compare signatures with :func:`row_matches`, which
+computes each candidate's tolerance bound once, stops at the first matching
+row, and rejects most mismatching rows after their first block of entries —
 instead of rebuilding a pair of Choi matrices for every one of the ``O(n²)``
-candidate pairs.
+candidate pairs, and without stacking or copying the signatures.
+:meth:`TransferSet.deduplicated <repro.superop.transfer.TransferSet.deduplicated>`
+uses the same matcher.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -31,20 +36,60 @@ __all__ = [
     "set_subset",
     "lub_of_chain",
     "deduplicate",
+    "row_matches",
 ]
 
 #: Relative tolerance matching ``np.allclose``, used by the signature comparisons.
 _RTOL = 1e-5
 
+#: Entries compared per step in :func:`row_matches`; a row that differs early
+#: is rejected after one block instead of after a full ``d⁴`` pass.
+_BLOCK = 1 << 13
 
-def _signatures(maps: Sequence) -> np.ndarray:
-    """Return the ``(n, d⁴)`` stack of flattened Choi matrices of ``maps``."""
-    return np.stack([np.asarray(channel.choi(), dtype=complex).reshape(-1) for channel in maps])
+
+def _signature(channel) -> np.ndarray:
+    """Return the flattened Choi matrix of ``channel`` (a view where ``choi()`` allows)."""
+    return np.asarray(channel.choi(), dtype=complex).reshape(-1)
 
 
-def _row_matches(stack: np.ndarray, row: np.ndarray, atol: float) -> np.ndarray:
-    """Return a boolean mask of which rows of ``stack`` equal ``row`` numerically."""
-    return np.isclose(stack, row, rtol=_RTOL, atol=atol).all(axis=1)
+def row_matches(rows: Iterable[np.ndarray], candidate: np.ndarray, atol: float) -> Iterator[bool]:
+    """Yield, row by row, whether each of ``rows`` equals ``candidate`` numerically.
+
+    The answers are exactly those of
+    ``np.isclose(np.stack(rows), candidate, rtol=1e-5, atol=atol).all(axis=1)``,
+    but no stack is built.  Rows are checked lazily, so
+    ``any(row_matches(...))`` stops at the first match, and block by block, so
+    a mismatch is usually settled by a row's first block.  The bound
+    ``atol + rtol·|candidate|`` is computed once per block, on first use.
+    Blocks where the candidate has a non-finite entry, and every block when
+    ``atol`` lies outside ``[0, ∞)``, go through ``np.isclose`` itself, which
+    owns those special cases.
+    """
+    candidate = np.asarray(candidate).reshape(-1)
+    candidate = candidate.astype(np.result_type(candidate, 1.0), copy=False)
+    if not 0.0 <= atol < np.inf:
+        for row in rows:
+            yield bool(np.isclose(row, candidate, rtol=_RTOL, atol=atol).all())
+        return
+    # bounds[n] is block n's bound, or None where that block of the candidate
+    # is not all finite.  With a finite candidate entry and a finite atol ≥ 0
+    # the bound is finite and non-negative, so isclose's ``& isfinite(y)`` and
+    # ``| (x == y)`` terms are implied by ``|x − y| ≤ bound`` alone.
+    bounds: List[Optional[np.ndarray]] = []
+
+    def block_close(row: np.ndarray, start: int) -> bool:
+        target = candidate[start:start + _BLOCK]
+        if len(bounds) * _BLOCK == start:
+            bound = atol + _RTOL * np.abs(target)
+            bounds.append(bound if np.isfinite(bound).all() else None)
+        bound = bounds[start // _BLOCK]
+        if bound is None:
+            return bool(np.isclose(row[start:start + _BLOCK], target, rtol=_RTOL, atol=atol).all())
+        return bool((np.abs(row[start:start + _BLOCK] - target) <= bound).all())
+
+    for row in rows:
+        row = np.asarray(row).reshape(-1)
+        yield all(block_close(row, start) for start in range(0, candidate.size, _BLOCK))
 
 
 def superoperator_equal(a, b, atol: float = ATOL) -> bool:
@@ -65,8 +110,8 @@ def deduplicate(maps: Iterable, atol: float = ATOL) -> list:
     """Return the input maps with (numerical) duplicates removed, preserving order.
 
     Each map's Choi signature is computed exactly once; every candidate is
-    then compared against all previously kept maps in a single vectorised
-    operation.
+    then compared against the previously kept signatures with
+    :func:`row_matches`, stopping at the first match.
     """
     maps = list(maps)
     if len(maps) <= 1:
@@ -79,13 +124,14 @@ def deduplicate(maps: Iterable, atol: float = ATOL) -> list:
                 if not any(candidate.equals(existing, atol=atol) for existing in unique):
                     unique.append(candidate)
             return unique
-        signatures = _signatures(maps)
-        keep: List[int] = []
-        for index in range(len(maps)):
-            if keep and bool(_row_matches(signatures[keep], signatures[index], atol).any()):
-                continue
-            keep.append(index)
-        return [maps[index] for index in keep]
+        kept: List[np.ndarray] = []
+        unique = []
+        for channel in maps:
+            signature = _signature(channel)
+            if not any(row_matches(kept, signature, atol)):
+                kept.append(signature)
+                unique.append(channel)
+        return unique
 
 
 def set_subset(smaller: Iterable, larger: Iterable, atol: float = ATOL) -> bool:
@@ -111,11 +157,10 @@ def _set_subset_impl(smaller: List, larger: List, atol: float) -> bool:
         )
     if smaller[0].dimension != larger[0].dimension:
         return False
-    larger_signatures = _signatures(larger)
-    for candidate in _signatures(smaller):
-        if not bool(_row_matches(larger_signatures, candidate, atol).any()):
-            return False
-    return True
+    larger_signatures = [_signature(channel) for channel in larger]
+    return all(
+        any(row_matches(larger_signatures, _signature(candidate), atol)) for candidate in smaller
+    )
 
 
 def set_equal(a: Iterable, b: Iterable, atol: float = ATOL) -> bool:

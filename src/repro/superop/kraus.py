@@ -14,14 +14,16 @@ The Kraus form is one of three faithful representations available in
 :mod:`~repro.superop.choi` and the transfer matrix of
 :mod:`~repro.superop.transfer`).  Kraus wins when a map with few operators is
 applied to individual states (``k·d³`` per application); it loses when maps
-are repeatedly composed or compared, because the operator count multiplies
-under composition and every comparison requires rebuilding a ``d²×d²`` Choi
-matrix.
+are repeatedly composed, because the operator count multiplies under
+composition.  Every comparison first builds the ``d²×d²`` Choi matrix, as one
+``d²×k`` by ``k×d²`` matrix product (``O(k·d⁴)``, BLAS-bound); the matrix is
+not cached, so callers that compare one map repeatedly keep its Choi matrix
+themselves.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive, is_unitary, kraus_gram, loewner_le, num_qubits_of
-from .choi import choi_matrix
+from .choi import choi_matrix, kraus_from_choi
 
 __all__ = ["SuperOperator"]
 
@@ -279,16 +281,7 @@ class SuperOperator:
         the number of Kraus operators from exploding when composing many maps
         (important for loop fixpoints and the Grover performance experiment).
         """
-        choi = self.choi()
-        eigenvalues, eigenvectors = np.linalg.eigh((choi + dagger(choi)) / 2)
-        kraus: List[np.ndarray] = []
-        for value, column in zip(eigenvalues, eigenvectors.T):
-            if value > atol:
-                operator = np.sqrt(value) * column.reshape(self._dimension, self._dimension)
-                kraus.append(operator)
-        if not kraus:
-            return SuperOperator.zero(self._dimension)
-        return SuperOperator(kraus, validate=False)
+        return SuperOperator(kraus_from_choi(self.choi(), atol=atol), validate=False)
 
     def probability_bound(self) -> float:
         """Return ``λ_max(Σ E_i†E_i)`` — the maximal success probability over inputs."""

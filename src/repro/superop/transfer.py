@@ -22,11 +22,12 @@ detour is still needed for the CPO order ``⪯`` (positivity is a spectral
 property) and for recovering a minimal Kraus decomposition.
 
 When does each representation win?  Kraus wins for maps with few Kraus
-operators applied to single states (cost ``k·d³``); the transfer matrix wins
-whenever maps are composed, compared or iterated (cost ``d⁶`` per composition,
-but independent of the Kraus count, which otherwise grows multiplicatively
-under ``Seq`` and linearly along loop chains); the Choi matrix wins for order
-and positivity questions.
+operators applied to single states (cost ``k·d³``), and its comparisons cost
+one ``O(k·d⁴)`` BLAS product to build the Choi matrix.  The transfer matrix
+costs ``d⁶`` per composition, independent of the Kraus count (which otherwise
+grows multiplicatively under ``Seq`` and linearly along loop chains, until
+``DenotationOptions.simplify_threshold`` re-canonicalises it); the Choi matrix
+wins for order and positivity questions.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from ..exceptions import DimensionMismatchError, SuperOperatorError
 from ..hashing import tolerance_safe_hash
 from ..linalg.constants import ATOL, ORDER_ATOL
 from ..linalg.operators import dagger, is_positive
-from .choi import is_tni_choi, kraus_from_choi
+from .choi import choi_matrix, is_tni_choi, kraus_from_choi
+from .compare import row_matches
 from .kraus import SuperOperator
 
 __all__ = [
@@ -61,16 +63,14 @@ def transfer_matrix(kraus_operators: Iterable[np.ndarray]) -> np.ndarray:
     """Return ``T(E) = Σ_i E_i ⊗ conj(E_i)`` for a Kraus decomposition.
 
     With row-stacking vectorisation ``vec(AXB) = (A ⊗ Bᵀ)·vec(X)``, so the
-    returned matrix satisfies ``vec(Σ_i E_i ρ E_i†) = T · vec(ρ)``.
+    returned matrix satisfies ``vec(Σ_i E_i ρ E_i†) = T · vec(ρ)``.  It is
+    built as the reshuffled Choi matrix, so the ``k`` Kronecker products run
+    as the one BLAS product of :func:`~repro.superop.choi.choi_matrix`.
     """
     kraus = [np.asarray(operator, dtype=complex) for operator in kraus_operators]
     if not kraus:
         raise SuperOperatorError("a transfer matrix needs at least one Kraus operator")
-    dimension = kraus[0].shape[0]
-    stacked = np.stack(kraus)
-    # Batched Kronecker product: Σ_i E_i ⊗ conj(E_i), evaluated in one einsum.
-    products = np.einsum("iab,icd->acbd", stacked, np.conjugate(stacked))
-    return products.reshape(dimension * dimension, dimension * dimension)
+    return _reshuffle(choi_matrix(kraus))
 
 
 def _reshuffle(matrix: np.ndarray) -> np.ndarray:
@@ -469,19 +469,16 @@ class TransferSet:
         """Remove numerically duplicate maps, preserving first-occurrence order.
 
         Faithfulness of the transfer representation turns duplicate detection
-        into row comparisons on the flattened stack — each candidate is
-        checked against all kept rows in one vectorised operation.
+        into row comparisons on the flattened stack, done by the same
+        :func:`~repro.superop.compare.row_matches` as the set-level
+        comparisons, so both dedup paths (in-recursion and post-hoc) agree on
+        set sizes.
         """
-        flat = self._stack.reshape(len(self), -1)
+        kept: List[np.ndarray] = []
         keep: List[int] = []
-        for index in range(flat.shape[0]):
-            if not keep:
-                keep.append(index)
-                continue
-            # rtol mirrors superop.compare's signature comparisons so both
-            # dedup paths (in-recursion and post-hoc) agree on set sizes.
-            matches = np.isclose(flat[keep], flat[index], rtol=1e-5, atol=atol).all(axis=1)
-            if not bool(matches.any()):
+        for index, row in enumerate(self._stack.reshape(len(self), -1)):
+            if not any(row_matches(kept, row, atol)):
+                kept.append(row)
                 keep.append(index)
         if len(keep) == len(self):
             return self

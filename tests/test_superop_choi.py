@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import LinalgError
+from repro.exceptions import DimensionMismatchError, LinalgError
 from repro.linalg.constants import H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.random import random_kraus_operators
@@ -39,9 +39,34 @@ class TestChoiMatrix:
         assert is_cp_choi(choi)
         assert is_tp_choi(choi)
 
+    @pytest.mark.parametrize("count", [1, 4, 80])
+    @pytest.mark.parametrize("dimension", [2, 8, 16])
+    def test_choi_is_the_rank_one_sum(self, dimension, count):
+        """The one-product kernel equals ``Σ_i vec(E_i) vec(E_i)†`` summed term by term."""
+        kraus = random_kraus_operators(dimension, count=count, seed=100 * dimension + count)
+        reference = np.zeros((dimension * dimension, dimension * dimension), dtype=complex)
+        for operator in kraus:
+            vectorised = operator.reshape(-1)
+            reference += np.outer(vectorised, vectorised.conj())
+        np.testing.assert_allclose(choi_matrix(kraus), reference, rtol=0, atol=1e-10)
+
     def test_choi_requires_kraus(self):
         with pytest.raises(LinalgError):
             choi_matrix([])
+
+    @pytest.mark.parametrize(
+        "kraus",
+        [
+            [np.eye(2), np.eye(4)],
+            [np.eye(2), np.ones((2, 3))],
+            [np.ones((2, 3))],
+            [np.ones(4)],
+        ],
+        ids=["mixed-dimensions", "mixed-shapes", "non-square", "one-dimensional"],
+    )
+    def test_choi_rejects_mismatched_or_non_square_kraus(self, kraus):
+        with pytest.raises(DimensionMismatchError):
+            choi_matrix(kraus)
 
 
 class TestKrausRecovery:
@@ -58,6 +83,10 @@ class TestKrausRecovery:
     def test_invalid_choi_side(self):
         with pytest.raises(LinalgError):
             kraus_from_choi(np.zeros((3, 3)))
+        with pytest.raises(LinalgError):
+            kraus_from_choi(np.eye(4)[:, :3])
+        with pytest.raises(LinalgError):
+            kraus_from_choi(np.zeros(4))
 
 
 class TestTraceConditions:

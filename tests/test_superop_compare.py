@@ -10,12 +10,14 @@ from repro.superop.compare import (
     convergence_gap,
     deduplicate,
     lub_of_chain,
+    row_matches,
     set_equal,
     set_subset,
     superoperator_equal,
     superoperator_precedes,
 )
 from repro.superop.kraus import SuperOperator
+from repro.superop.transfer import TransferSet
 
 
 class TestElementComparisons:
@@ -77,3 +79,161 @@ class TestChains:
         assert convergence_gap([SuperOperator.identity(2)]) == float("inf")
         widening = [SuperOperator.scalar(0.0, 2), SuperOperator.scalar(1.0, 2)]
         assert convergence_gap(widening) > 0.5
+
+
+#: Relative tolerance of every signature comparison (``np.allclose``'s default).
+RTOL = 1e-5
+
+#: Maps on a 10-dimensional space: signatures have 10⁴ = 10000 entries, so the
+#: matcher walks more than one block and the last one is partial.
+DIMENSION = 10
+SIZE = DIMENSION ** 4
+
+#: Where the probe rows differ from the candidate: first, middle and last entry.
+POSITIONS = (0, SIZE // 2, SIZE - 1)
+
+
+class _SignatureMap:
+    """A stand-in map whose Choi matrix is an arbitrary (possibly non-finite) array."""
+
+    def __init__(self, entries):
+        self.dimension = DIMENSION
+        self._choi = entries.reshape(DIMENSION * DIMENSION, DIMENSION * DIMENSION)
+
+    def choi(self):
+        return self._choi
+
+
+def _candidate(kind):
+    """A candidate signature; entry 0 is zero so its bound is exactly ``atol``."""
+    rng = np.random.default_rng(31)
+    candidate = rng.normal(size=SIZE) + 1j * rng.normal(size=SIZE)
+    candidate[0] = 0.0
+    if kind == "inf":
+        candidate[SIZE // 2] = np.inf
+    elif kind == "imag-inf":
+        candidate[1] = complex(0.5, -np.inf)
+    elif kind == "nan":
+        candidate[SIZE - 1] = np.nan
+    return candidate
+
+
+def _probe_rows(candidate, atol):
+    """Rows on both sides of the tolerance boundary around ``candidate``, and non-finite rows."""
+
+    def changed(position, value):
+        row = candidate.copy()
+        row[position] = value
+        return row
+
+    rows = [candidate.copy()]
+    with np.errstate(invalid="ignore"):  # inf − inf in the probes of non-finite candidates
+        bound = atol + RTOL * np.abs(candidate)
+        for position in POSITIONS:
+            entry, edge = candidate[position], bound[position]
+            rows += [
+                changed(position, entry + edge),
+                changed(position, entry - edge),
+                changed(position, entry + 1j * edge),
+                changed(position, complex(np.nextafter(entry.real + edge, np.inf), entry.imag)),
+                changed(position, entry + 2 * edge + 1e-3),
+                changed(position, np.nan),
+                changed(position, np.inf),
+                changed(position, -np.inf),
+                changed(position, complex(entry.real, np.inf)),
+            ]
+    rows += [np.full(SIZE, value, dtype=complex) for value in (np.nan, np.inf, -np.inf)]
+    return rows
+
+
+def _isclose_rows(rows, candidate, atol):
+    return np.isclose(np.stack(rows), candidate, rtol=RTOL, atol=atol).all(axis=1)
+
+
+def _isclose_dedup(rows, atol):
+    """Indices kept by first-occurrence deduplication under the ``np.isclose`` rule."""
+    kept = []
+    for index, row in enumerate(rows):
+        if not (kept and _isclose_rows([rows[k] for k in kept], row, atol).any()):
+            kept.append(index)
+    return kept
+
+
+ATOLS = pytest.mark.parametrize("atol", [1e-8, 0.0, 1e-3, -1e-8])
+CANDIDATE_KINDS = pytest.mark.parametrize("kind", ["finite", "inf", "imag-inf", "nan"])
+
+
+class TestRowMatcher:
+    """``row_matches`` and its three users decide exactly as ``np.isclose(...).all(axis=1)``."""
+
+    @CANDIDATE_KINDS
+    @ATOLS
+    def test_row_matches_equals_isclose(self, kind, atol):
+        candidate = _candidate(kind)
+        rows = _probe_rows(candidate, atol)
+        expected = _isclose_rows(rows, candidate, atol).tolist()
+        assert list(row_matches(rows, candidate, atol)) == expected
+        if kind == "finite" and atol >= 0:
+            assert True in expected and False in expected
+
+    @pytest.mark.parametrize("atol", [1e-8, 0.0])
+    def test_boundary_is_inclusive_to_the_last_ulp(self, atol):
+        candidate = _candidate("finite")
+        at_bound = candidate.copy()
+        at_bound[0] = atol
+        above = candidate.copy()
+        above[0] = np.nextafter(atol, np.inf)
+        assert list(row_matches([at_bound, above], candidate, atol)) == [True, False]
+        assert _isclose_rows([at_bound, above], candidate, atol).tolist() == [True, False]
+
+    def test_lazy_rows_stop_at_the_first_match(self):
+        candidate = _candidate("finite")
+        pulled = []
+
+        def rows():
+            for row in (candidate + 1.0, candidate.copy(), candidate - 1.0):
+                pulled.append(row)
+                yield row
+
+        assert any(row_matches(rows(), candidate, 1e-8))
+        assert len(pulled) == 2
+        assert not any(row_matches([], candidate, 1e-8))
+
+    @CANDIDATE_KINDS
+    @ATOLS
+    def test_deduplicate_keeps_what_isclose_keeps(self, kind, atol):
+        candidate = _candidate(kind)
+        rows = _probe_rows(candidate, atol)
+        rows = rows[::-1] + rows
+        maps = [_SignatureMap(row) for row in rows]
+        unique = deduplicate(maps, atol=atol)
+        assert unique == [maps[index] for index in _isclose_dedup(rows, atol)]
+
+    @CANDIDATE_KINDS
+    @ATOLS
+    def test_set_subset_agrees_with_isclose(self, kind, atol):
+        candidate = _candidate(kind)
+        rows = _probe_rows(candidate, atol)
+        larger = rows[1::2]
+        larger_maps = [_SignatureMap(row) for row in larger]
+        verdicts = []
+        for row in rows:
+            expected = bool(_isclose_rows(larger, row, atol).any())
+            assert set_subset([_SignatureMap(row)], larger_maps, atol=atol) == expected
+            verdicts.append(expected)
+        assert set_subset([_SignatureMap(row) for row in rows], larger_maps, atol=atol) == all(verdicts)
+        if kind == "finite" and atol >= 0:
+            assert True in verdicts and False in verdicts
+
+    @CANDIDATE_KINDS
+    @ATOLS
+    def test_transfer_set_deduplicated_keeps_what_isclose_keeps(self, kind, atol):
+        candidate = _candidate(kind)
+        rows = _probe_rows(candidate, atol)
+        rows = rows[::-1] + rows
+        side = DIMENSION * DIMENSION
+        stack = np.stack(rows).reshape(len(rows), side, side)
+        unique = TransferSet(stack).deduplicated(atol=atol)
+        kept = _isclose_dedup(rows, atol)
+        assert len(unique) == len(kept) < len(rows)
+        assert np.array_equal(unique.stack, stack[kept], equal_nan=True)
