@@ -19,7 +19,6 @@ import numpy as np
 from ..exceptions import ReproError
 from ..logic.formula import CorrectnessMode
 from ..logic.prover import ProverOptions
-from ..semantics.denotational import BACKENDS
 from ..telemetry import configure_tracing, get_tracer, metrics_snapshot
 from .session import Session
 from .verify import verify_source
@@ -27,33 +26,11 @@ from .verify import verify_source
 __all__ = ["build_arg_parser", "main"]
 
 
-#: Epilog explaining the performance knobs; shown by ``--help``.
-_EPILOG = """\
-performance options:
-  The semantic engines store full-register maps in one of two backends (see
-  README "Scaling guide" for the measured table):
-
-  --backend kraus     operator-list (Kraus) representation; the paper's
-                      presentation (default).  Fastest on every measured
-                      workload (qwalk16 denotation: 20 ms vs 1199 ms with
-                      transfer; 3-qubit Grover sampling loop: 11.5 ms vs
-                      18 ms)
-  --backend transfer  d²×d² transfer-matrix representation; every
-                      composition is one dense matmul.  An independent
-                      second implementation to cross-check kraus against
-
-  The switch is semantics-preserving: both backends agree to the library
-  tolerance on every shipped case study.
-"""
-
-
 def build_arg_parser() -> argparse.ArgumentParser:
     """Return the argument parser of the CLI."""
     parser = argparse.ArgumentParser(
         prog="nqpv-verify",
         description="Verify nondeterministic quantum programs (reproduction of NQPV, ASPLOS'23).",
-        epilog=_EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("source", help="path to the annotated program or command script")
     parser.add_argument(
@@ -71,12 +48,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--epsilon", type=float, default=1e-6, help="precision of the order decision procedure"
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default="kraus",
-        help="super-operator representation used by the semantic engines (default: kraus)",
     )
     parser.add_argument(
         "--script",
@@ -183,7 +154,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         session = Session(
             mode=CorrectnessMode(arguments.mode),
-            options=ProverOptions(epsilon=arguments.epsilon, backend=arguments.backend),
+            options=ProverOptions(epsilon=arguments.epsilon),
             base_path=source_path.parent,
         )
         for definition in arguments.operator:

@@ -2,8 +2,8 @@
 
 Every cacheable object in the library — AST nodes (:mod:`repro.language.ast`),
 :class:`~repro.predicates.predicate.QuantumPredicate` /
-:class:`~repro.predicates.assertion.QuantumAssertion`, and both
-super-operator representations (Kraus, transfer) — gets a stable
+:class:`~repro.predicates.assertion.QuantumAssertion`, and Kraus-form
+super-operators — gets a stable
 SHA-256 *structural digest* computed from a canonical serialization of its
 contents.  The digests form the shared key-space of the process-wide
 :mod:`repro.cache` result cache (denotations, wp/wlp transformers, prover
@@ -215,10 +215,9 @@ def assertion_digest(assertion) -> str:
 
 
 def superop_digest(channel) -> str:
-    """Return the digest of a super-operator in either representation.
+    """Return the digest of a super-operator: its (quantized) Choi matrix.
 
-    Kraus-form and transfer-form maps digest their (quantized) Choi matrix, so
-    equal maps in the two representations share a digest.
+    Different Kraus decompositions of the same map therefore share a digest.
     """
     return digest_parts("superop", channel.dimension, digest_array(channel.choi()))
 
@@ -261,8 +260,7 @@ def tolerance_safe_hash(kind: str, dimension: int) -> int:
     necessarily splits some pair of equal objects across a rounding boundary.
     The only sound hash inputs are exact discrete invariants preserved by
     equality: the ``kind`` tag and the ``dimension``.  All equal-comparable
-    representations must share one ``kind`` (e.g. every super-operator class
-    passes ``"superop"``, since Kraus/transfer maps compare equal across
-    representations).  Bucket collisions are resolved by ``__eq__``.
+    classes must share one ``kind`` (e.g. ``"superop"`` for super-operators).
+    Bucket collisions are resolved by ``__eq__``.
     """
     return hash(("repro-tolerance-safe", kind, dimension))

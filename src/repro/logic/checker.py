@@ -16,7 +16,7 @@ from ..language.ast import Abort, If, Init, NDet, Seq, Skip, Unitary, While
 from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import leq_inf
 from ..registers import QubitRegister
-from ..semantics.denotational import _check_backend, initializer_channel, measurement_pair
+from ..semantics.denotational import initializer_channel, measurement_pair
 from ..telemetry.metrics import METRICS
 from ..telemetry.tracing import span
 from .formula import CorrectnessFormula, CorrectnessMode
@@ -55,7 +55,6 @@ def check_rule(
     premises: Sequence[CorrectnessFormula] = (),
     register: QubitRegister | None = None,
     epsilon: float = 1e-6,
-    backend: str = "kraus",
 ) -> None:
     """Check one application of a proof rule.
 
@@ -71,15 +70,10 @@ def check_rule(
         Register over which assertions are expressed (defaults to the program's).
     epsilon:
         Numerical precision of the ``⊑_inf`` checks.
-    backend:
-        Super-operator representation used when the rule applies a channel to
-        an assertion: ``"kraus"`` (default) or ``"transfer"`` (see
-        :mod:`repro.superop.transfer`).
     """
-    _check_backend(backend)
-    with span("check-rule", region="prover", rule=rule, backend=backend):
+    with span("check-rule", region="prover", rule=rule):
         METRICS.counter("checker.rules", rule=rule).inc()
-        _check_rule_impl(rule, conclusion, premises, register, epsilon, backend)
+        _check_rule_impl(rule, conclusion, premises, register, epsilon)
 
 
 def _check_rule_impl(
@@ -88,7 +82,6 @@ def _check_rule_impl(
     premises: Sequence[CorrectnessFormula],
     register: QubitRegister | None,
     epsilon: float,
-    backend: str,
 ) -> None:
     """The unspanned body of :func:`check_rule`."""
     register = conclusion.register(register)
@@ -116,7 +109,7 @@ def _check_rule_impl(
 
     if rule == "Init":
         _require(isinstance(program, Init), "(Init) applies to initialisation statements")
-        channel = initializer_channel(program.qubits, register, backend)
+        channel = initializer_channel(program.qubits, register)
         expected = post.apply_superoperator_adjoint(channel)
         _require(_assertions_equal(pre, expected), "(Init) precondition must be Σ|i⟩⟨0|Θ|0⟩⟨i|")
         return
@@ -161,7 +154,7 @@ def _check_rule_impl(
         _require(else_premise.program == program.else_branch, "(Meas) second premise is the else-branch")
         _require(_assertions_equal(then_premise.postcondition, post), "(Meas) then-branch postcondition mismatch")
         _require(_assertions_equal(else_premise.postcondition, post), "(Meas) else-branch postcondition mismatch")
-        p0, p1 = measurement_pair(program, register, backend)
+        p0, p1 = measurement_pair(program, register)
         expected = measured_sum(p0, else_premise.precondition, p1, then_premise.precondition)
         _require(_assertions_equal(pre, expected), "(Meas) conclusion precondition must be P⁰(Θ₀)+P¹(Θ₁)")
         return
@@ -171,7 +164,7 @@ def _check_rule_impl(
         _require(len(premises) == 1, "(While) needs the loop-body premise")
         body_premise = premises[0]
         _require(body_premise.program == program.body, "(While) premise must be about the loop body")
-        p0, p1 = measurement_pair(program, register, backend)
+        p0, p1 = measurement_pair(program, register)
         invariant = body_premise.precondition
         expected_body_post = measured_sum(p0, post, p1, invariant)
         _require(

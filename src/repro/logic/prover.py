@@ -34,11 +34,7 @@ from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, W
 from ..predicates.assertion import QuantumAssertion, measured_sum
 from ..predicates.order import OrderCheckResult, leq_inf
 from ..registers import QubitRegister
-from ..semantics.denotational import (
-    _check_backend,
-    initializer_channel,
-    measurement_pair,
-)
+from ..semantics.denotational import initializer_channel, measurement_pair
 from .formula import CorrectnessFormula, CorrectnessMode
 from .proof import AnnotatedStatement, ProofOutline
 from .ranking import check_ranking, synthesize_ranking
@@ -48,7 +44,7 @@ __all__ = ["ProverOptions", "VerificationReport", "Prover", "assign_invariants",
 
 @dataclass
 class ProverOptions:
-    """Numerical and representation options of the prover.
+    """Numerical options of the prover.
 
     Attributes
     ----------
@@ -59,18 +55,13 @@ class ProverOptions:
         Truncation length of synthesised ranking sequences (total correctness).
     check_rankings:
         Whether total-correctness loops must pass the ranking check.
-    backend:
-        Super-operator representation used when rules apply channels to
-        assertions: ``"kraus"`` (default) or ``"transfer"``.
     """
 
     epsilon: float = 1e-6
     ranking_truncation: int = 64
     check_rankings: bool = True
-    backend: str = "kraus"
 
     def __post_init__(self) -> None:
-        _check_backend(self.backend)
         # ``inf`` would accept every order check and ``nan`` or a negative
         # value would reject true ones, so neither is a precision.
         if not math.isfinite(self.epsilon) or self.epsilon < 0:
@@ -188,7 +179,6 @@ class Prover:
             "prover",
             region="prover",
             mode=self.mode.name,
-            backend=self.options.backend,
             num_qubits=self.register.num_qubits,
         ):
             root = self._annotate(program, postcondition)
@@ -288,7 +278,7 @@ class Prover:
         return AnnotatedStatement(program, pre, post, rule=rule)
 
     def _annotate_init(self, program: Init, post: QuantumAssertion) -> AnnotatedStatement:
-        channel = initializer_channel(program.qubits, self.register, self.options.backend)
+        channel = initializer_channel(program.qubits, self.register)
         with span("vc-transform", region="prover", rule="Init", predicates=len(post)):
             pre = post.apply_superoperator_adjoint(channel)
         return AnnotatedStatement(program, pre, post, rule="Init")
@@ -317,18 +307,8 @@ class Prover:
         assert pre is not None
         return AnnotatedStatement(program, pre, post, rule="NDet", children=children)
 
-    def _semantics_options(self):
-        """Return :class:`DenotationOptions` matching the prover's representation choices."""
-        from ..semantics.denotational import DenotationOptions
-
-        return DenotationOptions(backend=self.options.backend)
-
-    def _measurement_pair(self, program):
-        """Build ``(P⁰, P¹)`` in the representation requested by the options."""
-        return measurement_pair(program, self.register, self.options.backend)
-
     def _annotate_if(self, program: If, post: QuantumAssertion) -> AnnotatedStatement:
-        p0, p1 = self._measurement_pair(program)
+        p0, p1 = measurement_pair(program, self.register)
         then_child = self._annotate(program.then_branch, post)
         else_child = self._annotate(program.else_branch, post)
         if post.is_singleton():
@@ -376,7 +356,7 @@ class Prover:
             )
             if invariant.dimension != self.register.dimension:
                 raise InvariantError("loop invariant dimension does not match the register")
-        p0, p1 = self._measurement_pair(program)
+        p0, p1 = measurement_pair(program, self.register)
         with span("vc-transform", region="prover", rule="While", predicates=len(post)):
             loop_condition = measured_sum(p0, post, p1, invariant)
         body_child = self._annotate(program.body, loop_condition)
@@ -400,12 +380,10 @@ class Prover:
         if self.mode is CorrectnessMode.TOTAL:
             rule = "WhileT"
             if self.options.check_rankings:
-                semantics_options = self._semantics_options()
                 ranking = synthesize_ranking(
                     program,
                     self.register,
                     truncation=self.options.ranking_truncation,
-                    options=semantics_options,
                 )
                 check_ranking(
                     program,
@@ -413,7 +391,6 @@ class Prover:
                     loop_condition,
                     self.register,
                     epsilon=self.options.epsilon,
-                    options=semantics_options,
                 )
                 self._record(
                     proof_event(

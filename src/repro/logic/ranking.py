@@ -33,7 +33,7 @@ from ..linalg.operators import loewner_le
 from ..predicates.assertion import QuantumAssertion
 from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
-from ..semantics.denotational import DenotationOptions, denotation, measurement_superoperators
+from ..semantics.denotational import DenotationOptions, denotation, measurement_pair
 from ..semantics.schedulers import Scheduler, constant_schedulers, sample_schedulers
 from ..predicates.order import leq_inf
 
@@ -83,7 +83,7 @@ def synthesize_ranking(
             schedulers = schedulers + sample_schedulers(2)
     schedulers = list(schedulers)
 
-    p0, p1 = measurement_superoperators(loop, register)
+    p0, p1 = measurement_pair(loop, register)
     identity = np.eye(register.dimension, dtype=complex)
     termination_now = p0.apply_adjoint(identity)  # P⁰(I): probability of exiting immediately.
 
@@ -129,7 +129,7 @@ def check_ranking(
     register = register or QubitRegister.for_program(loop)
     options = options or DenotationOptions()
     body_maps = denotation(loop.body, register, options)
-    p0, p1 = measurement_superoperators(loop, register)
+    p0, p1 = measurement_pair(loop, register)
 
     for scheduler_index, scheduler in enumerate(ranking.schedulers):
         sequence = ranking.sequences[scheduler_index]

@@ -22,7 +22,7 @@ from .denotational import (
     apply_denotation,
     denotation,
     loop_iterates,
-    measurement_superoperators,
+    measurement_pair,
 )
 from .equivalence import common_register, program_refines, programs_equivalent
 from .schedulers import (

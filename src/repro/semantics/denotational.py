@@ -15,23 +15,12 @@ quantum variables:
 For loop-free programs the computed set is exact (up to floating point); for
 programs with loops the caller controls which schedulers are explored.
 
-Two interchangeable backends compute the same semantics:
-
-* ``backend="kraus"`` (default) — maps are
-  :class:`~repro.superop.kraus.SuperOperator` in Kraus form; faithful to the
-  paper's presentation, but ``Seq`` composition multiplies Kraus counts.
-* ``backend="transfer"`` — maps are
-  :class:`~repro.superop.transfer.TransferSuperOperator` and denotation sets
-  are carried as one stacked :class:`~repro.superop.transfer.TransferSet`, so
-  every composition/comparison is a batched dense matrix operation.
-
-In both, every gate/measurement/initialisation is promoted to its
-``2^n × 2^n`` cylinder extension before any product is taken, as in the
-paper's lifted model and its prototype.
-
-Both backends return objects sharing the channel protocol (``apply``,
-``apply_adjoint``, ``compose``, ``choi``, ``equals``, ``precedes``), so all
-downstream consumers (wp/wlp, equivalence, model checking) work with either.
+Maps are :class:`~repro.superop.kraus.SuperOperator` in Kraus form, as in
+the paper's presentation.  Every gate/measurement/initialisation is promoted
+to its ``2^n × 2^n`` cylinder extension before any product is taken, as in
+the paper's lifted model and its prototype.  All downstream consumers
+(wp/wlp, equivalence, model checking) use the channel protocol (``apply``,
+``apply_adjoint``, ``compose``, ``choi``, ``equals``, ``precedes``).
 """
 
 from __future__ import annotations
@@ -48,7 +37,6 @@ from ..language.ast import Abort, If, Init, NDet, Program, Seq, Skip, Unitary, W
 from ..registers import QubitRegister
 from ..superop.compare import deduplicate
 from ..superop.kraus import SuperOperator
-from ..superop.transfer import TransferSet, TransferSuperOperator
 from ..telemetry.tracing import span
 from .schedulers import ConstantScheduler, Scheduler, constant_schedulers, sample_schedulers
 
@@ -58,22 +46,9 @@ __all__ = [
     "apply_denotation",
     "loop_iterates",
     "loop_prefix_cache",
-    "measurement_superoperators",
     "measurement_pair",
     "initializer_channel",
 ]
-
-#: The recognised values of ``DenotationOptions.backend``.
-BACKENDS = ("kraus", "transfer")
-
-
-def _check_backend(backend: str) -> None:
-    """Raise :class:`SemanticsError` unless ``backend`` names a known backend."""
-    if backend not in BACKENDS:
-        raise SemanticsError(
-            f"unknown semantics backend {backend!r}; expected one of {BACKENDS}"
-        )
-
 
 @dataclass
 class DenotationOptions:
@@ -82,11 +57,15 @@ class DenotationOptions:
     Attributes
     ----------
     max_iterations:
-        Truncation bound for the while-loop chains ``F^η_n``.
+        Truncation bound for the while-loop chains ``F^η_n``: at most this
+        many body iterations, so the chain ends at ``F^η_N`` with
+        ``N = max_iterations`` at the latest.  ``WpOptions.max_iterations``
+        means the same number, so at ``convergence_tolerance=0`` the wp/wlp
+        of a loop is exactly dual to its truncated denotation.
     convergence_tolerance:
         The chain is considered converged when the entrywise ℓ1 norm of the
         increment between consecutive iterates (the sum of absolute Choi-matrix
-        entries, the same entries as the transfer matrix) drops below this
+        entries) drops below this
         value.  That norm bounds the trace norm of the Choi difference from
         above, so the test is at least as strict as a trace-norm test.  The
         chain also stops once the remaining prefix's maximal success
@@ -98,12 +77,9 @@ class DenotationOptions:
         Number of additional pseudo-random schedulers to sample per loop.
     simplify_threshold:
         Kraus decompositions larger than this are re-canonicalised via the Choi
-        matrix to keep compositions tractable (Kraus backend only; the transfer
-        representation has constant size by construction).
+        matrix to keep compositions tractable.
     dedup:
         Whether to remove duplicate super-operators from denotation sets.
-    backend:
-        ``"kraus"`` or ``"transfer"`` — see the module docstring.
     """
 
     max_iterations: int = 64
@@ -112,54 +88,20 @@ class DenotationOptions:
     sampled_schedulers: int = 2
     simplify_threshold: int = 64
     dedup: bool = True
-    backend: str = "kraus"
-
-    def __post_init__(self) -> None:
-        _check_backend(self.backend)
 
 
-def measurement_superoperators(statement, register: QubitRegister):
-    """Return the pair ``(P⁰, P¹)`` of Kraus-form projection super-operators of a measurement node."""
+def measurement_pair(statement, register: QubitRegister):
+    """Return the projections ``(P⁰, P¹)`` of a measurement node as super-operators."""
     with span("measurement-pair", region="denotation"):
         p0 = register.embed(statement.measurement.p0, statement.qubits)
         p1 = register.embed(statement.measurement.p1, statement.qubits)
         return SuperOperator([p0], validate=False), SuperOperator([p1], validate=False)
 
 
-def _measurement_transfer(statement, register: QubitRegister):
-    """Transfer-backend analogue of :func:`measurement_superoperators`."""
-    with span("measurement-pair", region="denotation", transfer=True):
-        p0 = register.embed(statement.measurement.p0, statement.qubits)
-        p1 = register.embed(statement.measurement.p1, statement.qubits)
-        return (
-            TransferSuperOperator.from_kraus([p0]),
-            TransferSuperOperator.from_kraus([p1]),
-        )
-
-
-def measurement_pair(statement, register: QubitRegister, backend: str = "kraus"):
-    """Return ``(P⁰, P¹)`` in the representation selected by ``backend``.
-
-    This is the single dispatch shared by the prover and the rule checker.
-    """
-    _check_backend(backend)
-    if backend == "transfer":
-        return _measurement_transfer(statement, register)
-    return measurement_superoperators(statement, register)
-
-
-def initializer_channel(qubits: Sequence[str], register: QubitRegister, backend: str = "kraus"):
-    """Return the ``Set0`` channel on the named ``qubits`` in the selected representation.
-
-    Shared by the wp transformer, the prover and the rule checker, mirroring
-    the dispatch of :func:`measurement_pair`.
-    """
-    _check_backend(backend)
-    with span("initializer", region="denotation", backend=backend):
-        channel = SuperOperator.initializer(len(qubits)).embed(qubits, register)
-        if backend == "transfer":
-            channel = TransferSuperOperator.from_superoperator(channel)
-        return channel
+def initializer_channel(qubits: Sequence[str], register: QubitRegister) -> SuperOperator:
+    """Return the ``Set0`` channel on the named ``qubits``, lifted to ``register``."""
+    with span("initializer", region="denotation"):
+        return SuperOperator.initializer(len(qubits)).embed(qubits, register)
 
 
 def denotation(
@@ -172,10 +114,6 @@ def denotation(
     The result is exact for loop-free programs.  For programs containing while
     loops, one super-operator per explored scheduler is produced, each obtained
     by truncating the non-decreasing chain of Eq. (1) at numerical convergence.
-
-    Returns a list of :class:`SuperOperator` (Kraus backend) or
-    :class:`TransferSuperOperator` (transfer backend); both satisfy the same
-    channel protocol.
 
     Results are memoized in the process-wide result cache (region
     ``"denotation"``) under the program's content digest, the register
@@ -193,7 +131,6 @@ def denotation(
         "denotation",
         region="denotation",
         node=type(program).__name__,
-        backend=options.backend,
         num_qubits=register.num_qubits,
     ) as denotation_span:
         options_sig = options_signature(options)
@@ -205,15 +142,9 @@ def denotation(
                 denotation_span.set_tag("cache", "hit")
                 return list(cached)
         denotation_span.set_tag("cache", "miss" if cache_key is not None else "bypass")
-        if options.backend == "transfer":
-            transfer_maps = _denote_transfer(program, register, options)
-            if options.dedup:
-                transfer_maps = transfer_maps.deduplicated()
-            result = transfer_maps.operators()
-        else:
-            result = _denote(program, register, options)
-            if options.dedup:
-                result = deduplicate(result)
+        result = _denote(program, register, options)
+        if options.dedup:
+            result = deduplicate(result)
         if cache_key is not None:
             RESULT_CACHE.store("denotation", cache_key, tuple(result))
         denotation_span.set_tag("set_size", len(result))
@@ -233,7 +164,7 @@ def apply_denotation(
 
 
 # ---------------------------------------------------------------------------
-# Structural recursion — Kraus backend
+# Structural recursion
 # ---------------------------------------------------------------------------
 
 
@@ -245,8 +176,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
     if isinstance(program, Abort):
         return [SuperOperator.zero(dimension)]
     if isinstance(program, Init):
-        channel = SuperOperator.initializer(len(program.qubits)).embed(program.qubits, register)
-        return [channel]
+        return [initializer_channel(program.qubits, register)]
     if isinstance(program, Unitary):
         embedded = register.embed(program.matrix, program.qubits)
         return [SuperOperator([embedded], validate=False)]
@@ -274,7 +204,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
             maps.extend(_denote(branch, register, options))
         return maps
     if isinstance(program, If):
-        p0, p1 = measurement_superoperators(program, register)
+        p0, p1 = measurement_pair(program, register)
         else_maps = _denote(program.else_branch, register, options)
         then_maps = _denote(program.then_branch, register, options)
         combined = []
@@ -289,58 +219,7 @@ def _denote(program: Program, register: QubitRegister, options: DenotationOption
 
 
 # ---------------------------------------------------------------------------
-# Structural recursion — transfer backend (batched)
-# ---------------------------------------------------------------------------
-
-
-def _denote_transfer(
-    program: Program, register: QubitRegister, options: DenotationOptions
-) -> TransferSet:
-    dimension = register.dimension
-
-    if isinstance(program, Skip):
-        return TransferSet.singleton(TransferSuperOperator.identity(dimension))
-    if isinstance(program, Abort):
-        return TransferSet.singleton(TransferSuperOperator.zero(dimension))
-    if isinstance(program, Init):
-        kraus = SuperOperator.initializer(len(program.qubits)).kraus_operators
-        embedded = [register.embed(operator, program.qubits) for operator in kraus]
-        return TransferSet.singleton(TransferSuperOperator.from_kraus(embedded))
-    if isinstance(program, Unitary):
-        embedded = register.embed(program.matrix, program.qubits)
-        return TransferSet.singleton(TransferSuperOperator.from_unitary(embedded))
-    if isinstance(program, Seq):
-        current = TransferSet.singleton(TransferSuperOperator.identity(dimension))
-        for statement in program.statements:
-            step = _denote_transfer(statement, register, options)
-            with span(
-                "seq-compose",
-                region="denotation",
-                statement=type(statement).__name__,
-                set_size=len(current) * len(step),
-            ):
-                current = step.compose_pairwise(current)
-                if options.dedup and len(current) > 1:
-                    current = current.deduplicated()
-        return current
-    if isinstance(program, NDet):
-        pieces = [_denote_transfer(branch, register, options) for branch in program.branches]
-        combined = pieces[0]
-        for piece in pieces[1:]:
-            combined = combined.concatenate(piece)
-        return combined
-    if isinstance(program, If):
-        p0, p1 = _measurement_transfer(program, register)
-        else_set = _denote_transfer(program.else_branch, register, options).after_each(p0)
-        then_set = _denote_transfer(program.then_branch, register, options).after_each(p1)
-        return else_set.branch_sum_pairwise(then_set)
-    if isinstance(program, While):
-        return TransferSet.from_operators(_denote_while_transfer(program, register, options))
-    raise SemanticsError(f"unknown program construct {type(program).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# While loops (both backends)
+# While loops
 # ---------------------------------------------------------------------------
 
 
@@ -472,14 +351,10 @@ def _explore_loop(program, register, body_maps, options: DenotationOptions) -> L
 def _denote_while(
     program: While, register: QubitRegister, options: DenotationOptions
 ) -> List[SuperOperator]:
-    body_maps = _denote(program.body, register, options)
-    return _explore_loop(program, register, body_maps, options)
-
-
-def _denote_while_transfer(
-    program: While, register: QubitRegister, options: DenotationOptions
-) -> List[TransferSuperOperator]:
-    body_maps = _denote_transfer(program.body, register, options).operators()
+    # A scheduler picks elements of the *set* [[body]], so duplicates are one
+    # choice whatever ``options.dedup`` says; the wp/wlp loop sequences index
+    # the same deduplicated list.
+    body_maps = deduplicate(_denote(program.body, register, options))
     return _explore_loop(program, register, body_maps, options)
 
 
@@ -494,12 +369,10 @@ def loop_iterates(
     """Return the chain ``F^η_0 ⪯ F^η_1 ⪯ …`` of Eq. (1) under one scheduler.
 
     The chain is truncated at numerical convergence (increment below the
-    configured tolerance) or after ``max_iterations`` elements.  The final
+    configured tolerance) or after ``max_iterations`` body iterations, i.e. at
+    ``F^η_N`` with ``N = max_iterations`` (``N + 1`` elements).  The final
     element approximates the least upper bound, i.e. the loop's semantics under
     the scheduler.
-
-    ``body_maps`` may be Kraus-form or transfer-form channels; the measurement
-    projections are built in the matching representation.
 
     ``prefix_cache``, when supplied, memoises the loop prefixes
     ``η_n ∘ P¹ ∘ … ∘ η_1 ∘ P¹`` keyed by the scheduler's choice sequence, so
@@ -511,16 +384,11 @@ def loop_iterates(
     history is retained.
     """
     options = options or DenotationOptions()
-    transfer_mode = bool(body_maps) and isinstance(body_maps[0], TransferSuperOperator)
-    if transfer_mode:
-        p0, p1 = _measurement_transfer(program, register)
-        identity = TransferSuperOperator.identity(register.dimension)
-    else:
-        p0, p1 = measurement_superoperators(program, register)
-        identity = SuperOperator.identity(register.dimension)
+    p0, p1 = measurement_pair(program, register)
+    identity = SuperOperator.identity(register.dimension)
 
     iterates: List = []
-    with span("loop-chain", region="loop", transfer=transfer_mode) as chain_span:
+    with span("loop-chain", region="loop") as chain_span:
         # step_k = η_k ∘ P¹ is iteration-independent; build each at most once.
         steps: Dict[int, object] = {}
         # prefix_i = η_i ∘ P¹ ∘ … ∘ η_1 ∘ P¹ ; the i = 0 prefix is the identity map.
@@ -531,9 +399,9 @@ def loop_iterates(
             prefix = identity
         total = p0.compose(prefix)
         iterates.append(total)
-        # Kraus mode: the Choi matrix of ``total``, carried over from the
-        # previous gap so each iteration builds only the new iterate's.
-        total_choi = None if transfer_mode else total.choi()
+        # The Choi matrix of ``total``, carried over from the previous gap so
+        # each iteration builds only the new iterate's.
+        total_choi = total.choi()
         for iteration in range(1, options.max_iterations + 1):
             choice = scheduler.select(iteration, len(body_maps))
             choices = choices + (choice,)
@@ -549,12 +417,9 @@ def loop_iterates(
             increment = p0.compose(prefix)
             new_total = _maybe_simplify(total + increment, options)
             iterates.append(new_total)
-            if transfer_mode:
-                gap = float(np.abs(new_total.matrix - total.matrix).sum())
-            else:
-                new_choi = new_total.choi()
-                gap = float(np.abs(new_choi - total_choi).sum())
-                total_choi = new_choi
+            new_choi = new_total.choi()
+            gap = float(np.abs(new_choi - total_choi).sum())
+            total_choi = new_choi
             total = new_total
             if gap < options.convergence_tolerance:
                 break
@@ -568,6 +433,6 @@ def loop_iterates(
 
 def _maybe_simplify(channel, options: DenotationOptions):
     """Re-canonicalise a Kraus-form map whose operator count exploded."""
-    if isinstance(channel, SuperOperator) and len(channel.kraus_operators) > options.simplify_threshold:
+    if len(channel.kraus_operators) > options.simplify_threshold:
         return channel.simplified()
     return channel

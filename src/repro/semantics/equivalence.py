@@ -10,7 +10,6 @@ schedulers, approximately for loops.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Tuple
 
 from ..language.ast import Program
@@ -31,12 +30,9 @@ def _denotations(
     first: Program,
     second: Program,
     options: DenotationOptions | None,
-    backend: str | None,
 ) -> Tuple[list, list, QubitRegister]:
     register = common_register(first, second)
     options = options or DenotationOptions()
-    if backend is not None and backend != options.backend:
-        options = replace(options, backend=backend)
     return (
         denotation(first, register, options),
         denotation(second, register, options),
@@ -49,16 +45,13 @@ def programs_equivalent(
     second: Program,
     options: DenotationOptions | None = None,
     atol: float = 1e-6,
-    backend: str | None = None,
 ) -> bool:
     """Return ``True`` when ``[[first]] = [[second]]`` over the common register.
 
     Exact for loop-free programs; for loops the comparison is relative to the
-    explored schedulers.  ``backend`` overrides the representation used for
-    both denotations (``"kraus"`` or ``"transfer"``); the set comparison
-    itself is representation-agnostic.
+    explored schedulers.
     """
-    first_maps, second_maps, _ = _denotations(first, second, options, backend)
+    first_maps, second_maps, _ = _denotations(first, second, options)
     return set_equal(first_maps, second_maps, atol=atol)
 
 
@@ -67,16 +60,14 @@ def program_refines(
     specification: Program,
     options: DenotationOptions | None = None,
     atol: float = 1e-6,
-    backend: str | None = None,
 ) -> bool:
     """Return ``True`` when every behaviour of ``implementation`` is allowed by ``specification``.
 
     In the lifted model this is denotation-set inclusion
     ``[[implementation]] ⊆ [[specification]]`` — the notion of refinement that
-    stepwise program development relies on.  ``backend`` overrides the
-    representation used for both denotations.
+    stepwise program development relies on.
     """
     implementation_maps, specification_maps, _ = _denotations(
-        implementation, specification, options, backend
+        implementation, specification, options
     )
     return set_subset(implementation_maps, specification_maps, atol=atol)

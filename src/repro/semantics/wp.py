@@ -32,11 +32,10 @@ from ..predicates.predicate import QuantumPredicate, clip_to_predicate
 from ..registers import QubitRegister
 from ..telemetry.tracing import span
 from .denotational import (
-    _check_backend,
     _loop_schedulers,
     deterministic_loop_bypass,
     initializer_channel,
-    measurement_superoperators,
+    measurement_pair,
 )
 from .schedulers import ConstantScheduler, Scheduler
 
@@ -47,15 +46,20 @@ __all__ = ["WpOptions", "weakest_precondition", "weakest_liberal_precondition"]
 class WpOptions:
     """Options controlling the loop approximation of the wp/wlp transformers.
 
-    ``backend`` selects the super-operator representation used for the loop
-    bodies: ``"kraus"`` applies adjoints Kraus operator by Kraus operator,
-    ``"transfer"`` turns every adjoint application into a single
-    conjugate-transpose matmul on the vectorised predicate (see
-    :mod:`repro.superop.transfer`).
+    ``max_iterations`` is the number of loop-body iterations the backward
+    sequence covers, the same number as
+    :attr:`DenotationOptions.max_iterations
+    <repro.semantics.denotational.DenotationOptions>`: the result is
+    ``M^η_N`` with ``N = max_iterations``, the dual of the forward chain's
+    ``F^η_N``.
 
-    ``convergence_tolerance`` stops a loop's backward predicate sequence once
+    ``convergence_tolerance`` stops the backward predicate sequence of a
+    loop under a :class:`~repro.semantics.schedulers.ConstantScheduler` once
     the largest entrywise change between successive predicates,
-    ``max |P_n − P_{n−1}|``, drops below it.  It is also passed on as
+    ``max |P_n − P_{n−1}|``, drops below it.  Other schedulers always run
+    the full ``max_iterations``: stopping early there would drop the
+    scheduler's first choices instead of its last ones.  The tolerance is
+    also passed on as
     :attr:`DenotationOptions.convergence_tolerance
     <repro.semantics.denotational.DenotationOptions>` when the loop body's
     denotations are computed.
@@ -65,10 +69,6 @@ class WpOptions:
     schedulers: Optional[Sequence[Scheduler]] = None
     sampled_schedulers: int = 2
     convergence_tolerance: float = 1e-9
-    backend: str = "kraus"
-
-    def __post_init__(self) -> None:
-        _check_backend(self.backend)
 
 
 def weakest_precondition(
@@ -106,7 +106,6 @@ def _transform(
     with span(
         "wp" if not liberal else "wlp",
         region="wp",
-        backend=options.backend,
         num_qubits=register.num_qubits,
         predicates=len(postcondition.predicates),
     ):
@@ -166,7 +165,7 @@ def _xp_single_uncached(
             return [QuantumPredicate.identity(register.num_qubits)]
         return [QuantumPredicate.zero(register.num_qubits)]
     if isinstance(program, Init):
-        channel = initializer_channel(program.qubits, register, options.backend)
+        channel = initializer_channel(program.qubits, register)
         return [post.apply_superoperator_adjoint(channel)]
     if isinstance(program, Unitary):
         embedded = register.embed(program.matrix, program.qubits)
@@ -185,7 +184,7 @@ def _xp_single_uncached(
             result.extend(_xp_single(branch, post, register, options, liberal))
         return _dedup(result)
     if isinstance(program, If):
-        p0, p1 = measurement_superoperators(program, register)
+        p0, p1 = measurement_pair(program, register)
         else_parts = _xp_single(program.else_branch, post, register, options, liberal)
         then_parts = _xp_single(program.then_branch, post, register, options, liberal)
         combined: List[QuantumPredicate] = []
@@ -214,7 +213,7 @@ def _xp_while(
     ``f_k(A) = P⁰(M) + P¹(η_k†(A) + I − η_k†(I))`` for wlp,
     starting from ``M^·_0 = 0`` (wp) or ``I`` (wlp).
     """
-    p0, p1 = measurement_superoperators(program, register)
+    p0, p1 = measurement_pair(program, register)
     body_choices = _body_denotations(program, register, options)
     identity = np.eye(register.dimension, dtype=complex)
 
@@ -261,22 +260,27 @@ def _xp_while_scheduler(
     scheduler: Scheduler,
     identity: np.ndarray,
 ) -> QuantumPredicate:
-    """Evaluate the backward Fig. 5 sequence of one loop under one scheduler."""
-    if liberal:
-        current = identity.copy()
-    else:
-        current = np.zeros_like(identity)
-    previous = None
+    """Evaluate the backward Fig. 5 sequence of one loop under one scheduler.
+
+    The innermost step ``f_{η_{N+1}}(M^·_0)`` does not depend on the
+    scheduler (``η†(0) = 0``, and ``η†(I) + I − η†(I) = I``), so the sequence
+    starts there and then applies ``f_{η_N}``, …, ``f_{η_1}``: ``N`` body
+    iterations, as in the forward chain ``F^η_N``.  Only a constant
+    scheduler may stop early, because every ``f_k`` is then the same map and
+    an early stop merely truncates the sequence.
+    """
+    base = p0.apply(post.matrix)
+    current = base + p1.apply(identity) if liberal else base
+    may_stop_early = isinstance(scheduler, ConstantScheduler)
     for backward_index in range(options.max_iterations, 0, -1):
         choice = scheduler.select(backward_index, len(body_choices))
         body_channel = body_choices[choice]
         inner = body_channel.apply_adjoint(current)
         if liberal:
             inner = inner + identity - body_channel.apply_adjoint(identity)
-        current = p0.apply(post.matrix) + p1.apply(inner)
-        if previous is not None and np.abs(current - previous).max() < options.convergence_tolerance:
+        previous, current = current, base + p1.apply(inner)
+        if may_stop_early and np.abs(current - previous).max() < options.convergence_tolerance:
             break
-        previous = current.copy()
     return QuantumPredicate(clip_to_predicate(current), validate=False)
 
 
@@ -288,7 +292,6 @@ def _body_denotations(program: While, register: QubitRegister, options: WpOption
         convergence_tolerance=options.convergence_tolerance,
         schedulers=options.schedulers,
         sampled_schedulers=options.sampled_schedulers,
-        backend=options.backend,
     )
     return denotation(program.body, register, body_options)
 

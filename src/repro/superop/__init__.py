@@ -1,18 +1,12 @@
-"""Super-operator substrate (S2): Kraus maps, Choi matrices, transfer matrices, channels and orderings.
+"""Super-operator substrate (S2): Kraus maps, Choi matrices, channels and orderings.
 
-Three interoperable representations of a completely positive map are provided:
-
-* **Kraus** (:mod:`.kraus`) — a finite operator list ``{E_i}``; best for
-  applying a small map to individual states.
-* **Choi** (:mod:`.choi`) — the ``d²×d²`` positive matrix ``Σ vec(E_i)vec(E_i)†``;
-  best for order/positivity questions (Lemma 3.1) and for recovering minimal
-  Kraus decompositions.
-* **Transfer/Liouville** (:mod:`.transfer`) — the ``d²×d²`` matrix acting on
-  vectorised states; best whenever full-register maps are composed, iterated
-  or compared, since all of those become single dense matrix operations.
-Conversions between them are lossless: Kraus→Choi is a sum of outer
-products, Choi↔transfer is a cheap index reshuffle, and Choi→Kraus is an
-eigendecomposition.
+A completely positive map is a :class:`SuperOperator` in Kraus form
+(:mod:`.kraus`): a finite operator list ``{E_i}``, the one representation the
+semantic engines compute with.  Its Choi matrix (:mod:`.choi`), the ``d²×d²``
+positive matrix ``Σ vec(E_i)vec(E_i)†``, answers order/positivity questions
+(Lemma 3.1), equality and set comparisons (:mod:`.compare`), and yields
+minimal Kraus decompositions.  Kraus→Choi is one matrix product and
+Choi→Kraus an eigendecomposition.
 """
 
 from .channels import (
@@ -48,13 +42,5 @@ from .compare import (
     superoperator_precedes,
 )
 from .kraus import SuperOperator
-from .transfer import (
-    TransferSet,
-    TransferSuperOperator,
-    choi_from_transfer,
-    kraus_from_transfer,
-    transfer_from_choi,
-    transfer_matrix,
-)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

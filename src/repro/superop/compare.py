@@ -5,19 +5,15 @@ super-operators; these helpers implement equality and the CPO order on
 individual maps (Lemma 3.1) and the induced comparisons on finite sets, which
 are used by the semantic model checker and the tests of Lemma 3.2.
 
-All set-level functions accept any mix of Kraus-form
-:class:`~repro.superop.kraus.SuperOperator` and transfer-matrix
-:class:`~repro.superop.transfer.TransferSuperOperator` elements: each map is
-reduced once to a flattened Choi-entry *signature* (the same ``d⁴`` complex
-numbers in every faithful representation): one BLAS matrix product for a
-Kraus-form map, a permutation for a transfer-form map.  Duplicate detection
-and subset checks then compare signatures with :func:`row_matches`, which
-computes each candidate's tolerance bound once, stops at the first matching
-row, and rejects most mismatching rows after their first block of entries —
-instead of rebuilding a pair of Choi matrices for every one of the ``O(n²)``
-candidate pairs, and without stacking or copying the signatures.
-:meth:`TransferSet.deduplicated <repro.superop.transfer.TransferSet.deduplicated>`
-uses the same matcher.
+The set-level functions reduce each
+:class:`~repro.superop.kraus.SuperOperator` once to a flattened Choi-entry
+*signature* (``d⁴`` complex numbers, one BLAS matrix product per map).
+Duplicate detection and subset checks then compare signatures with
+:func:`row_matches`, which computes each candidate's tolerance bound once,
+stops at the first matching row, and rejects most mismatching rows after their
+first block of entries — instead of rebuilding a pair of Choi matrices for
+every one of the ``O(n²)`` candidate pairs, and without stacking or copying
+the signatures.
 """
 
 from __future__ import annotations
@@ -48,7 +44,7 @@ _BLOCK = 1 << 13
 
 
 def _signature(channel) -> np.ndarray:
-    """Return the flattened Choi matrix of ``channel`` (a view where ``choi()`` allows)."""
+    """Return the flattened Choi matrix of ``channel``."""
     return np.asarray(channel.choi(), dtype=complex).reshape(-1)
 
 

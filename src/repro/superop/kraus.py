@@ -9,16 +9,14 @@ precondition semantics: application to states, adjoint application to
 predicates, composition, pointwise addition, scaling, tensor products and the
 CPO order ``⪯`` of Sec. 3.2.
 
-The Kraus form is one of three faithful representations available in
-:mod:`repro.superop` (the others being the Choi matrix of
-:mod:`~repro.superop.choi` and the transfer matrix of
-:mod:`~repro.superop.transfer`).  Kraus wins when a map with few operators is
-applied to individual states (``k·d³`` per application); it loses when maps
-are repeatedly composed, because the operator count multiplies under
-composition.  Every comparison first builds the ``d²×d²`` Choi matrix, as one
-``d²×k`` by ``k×d²`` matrix product (``O(k·d⁴)``, BLAS-bound); the matrix is
-not cached, so callers that compare one map repeatedly keep its Choi matrix
-themselves.
+The Kraus form is the one map representation of the semantic engines;
+the Choi matrix of :mod:`~repro.superop.choi` serves order and equality
+questions.  Applying a map with ``k`` operators to a state costs ``k·d³``.
+Composition multiplies operator counts, so the engines re-canonicalise large
+decompositions through the Choi matrix.  Every comparison first builds the
+``d²×d²`` Choi matrix, as one ``d²×k`` by ``k×d²`` matrix product
+(``O(k·d⁴)``, BLAS-bound); the matrix is not cached, so callers that compare
+one map repeatedly keep its Choi matrix themselves.
 """
 
 from __future__ import annotations
@@ -156,12 +154,6 @@ class SuperOperator:
         """Return the (unnormalised) Choi matrix of the map."""
         return choi_matrix(self._kraus)
 
-    def transfer(self) -> np.ndarray:
-        """Return the transfer (Liouville) matrix ``Σ_i E_i ⊗ conj(E_i)``."""
-        from .transfer import transfer_matrix  # deferred: transfer builds on kraus
-
-        return transfer_matrix(self._kraus)
-
     # -------------------------------------------------------------- application
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Apply the super-operator to a (partial) density operator."""
@@ -237,11 +229,7 @@ class SuperOperator:
 
     # ----------------------------------------------------------------- ordering
     def equals(self, other, atol: float = ATOL) -> bool:
-        """Return ``True`` when both maps are equal (same Choi matrix).
-
-        Accepts any representation exposing ``choi()``/``dimension``, so
-        Kraus-form and transfer-form maps compare transparently.
-        """
+        """Return ``True`` when both maps are equal (same Choi matrix)."""
         if self._dimension != other.dimension:
             return False
         return bool(np.allclose(self.choi(), other.choi(), atol=atol))
@@ -249,16 +237,12 @@ class SuperOperator:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, SuperOperator):
             return self.equals(other)
-        from .transfer import TransferSuperOperator  # deferred: transfer builds on kraus
-
-        if isinstance(other, TransferSuperOperator):
-            return self.equals(other)
         return NotImplemented
 
     def __hash__(self) -> int:
         # Tolerance-based equality admits no payload-derived hash (rounding a
         # boundary-straddling pair of equal maps can split buckets); hash only
-        # the exact invariants, shared across all three representations.
+        # the exact invariants.
         return tolerance_safe_hash("superop", self._dimension)
 
     def precedes(self, other, atol: float = ORDER_ATOL) -> bool:

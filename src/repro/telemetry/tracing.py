@@ -289,7 +289,7 @@ def span(name: str, **tags: Any):
 
     Usage::
 
-        with span("denotation", region="denotation", backend="kraus") as sp:
+        with span("denotation", region="denotation", num_qubits=3) as sp:
             ...
             sp.set_tag("cache", "hit")
     """

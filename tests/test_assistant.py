@@ -172,14 +172,15 @@ class TestCli:
     def test_cli_missing_file(self, capsys):
         assert cli_main(["/does/not/exist.nqpv"]) == 2
 
-    def test_cli_backend_flag_and_removed_lifting_flag(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag", ["--backend", "--lifting"])
+    def test_cli_rejects_removed_representation_flags(self, tmp_path, capsys, flag):
         source_path = tmp_path / "program.nqpv"
         source_path.write_text("{ P1[q] }; [q] *= X; { P0[q] }")
-        assert cli_main([str(source_path), "--backend", "transfer"]) == 0
+        assert cli_main([str(source_path)]) == 0
         with pytest.raises(SystemExit) as excinfo:
-            cli_main([str(source_path), "--lifting", "dense"])
+            cli_main([str(source_path), flag, "kraus"])
         assert excinfo.value.code == 2
-        assert "--lifting" in capsys.readouterr().err
+        assert flag in capsys.readouterr().err
 
     @pytest.mark.parametrize("epsilon", ["inf", "nan", "-1.0"])
     def test_cli_rejects_invalid_epsilon(self, tmp_path, capsys, epsilon):

@@ -1,9 +1,9 @@
 """Smoke test of the unified scaling benchmark harness.
 
 Runs ``benchmarks/bench_scaling.py`` in ``--smoke`` mode against a temporary
-output path: the sweep must succeed, every backend must
-agree with the reference semantics, and the emitted JSON must follow the
-``BENCH_scaling.json`` schema documented in the README.
+output path: the sweep must succeed, every denotation must be trace
+non-increasing, and the emitted JSON must follow the ``BENCH_scaling.json``
+schema documented in the README.
 """
 
 import json
@@ -29,12 +29,12 @@ def test_smoke_sweep_writes_schema_conformant_json(tmp_path):
         assert removed not in payload
 
     results = payload["results"]
-    expected_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values()) * 2
+    expected_cells = sum(len(sizes) for sizes in bench_scaling.SMOKE_SIZES.values())
     assert len(results) == expected_cells
     for entry in results:
-        assert entry["agrees_with_reference"] is True
-        assert entry["backend"] in ("kraus", "transfer")
-        assert "lifting" not in entry
-        assert "jobs" not in entry
+        assert entry["trace_nonincreasing"] is True
+        assert entry["maps"] >= 1
+        for removed in ("backend", "lifting", "jobs", "agrees_with_reference"):
+            assert removed not in entry
         assert entry["seconds"] >= 0.0
         assert entry["num_qubits"] >= 2

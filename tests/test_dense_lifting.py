@@ -4,15 +4,18 @@ The lifted semantics (Fig. 2) interprets a statement on qubits ``q̄`` of a
 register as the cylinder extension of its channel, ``E ⊗ id``, with the
 factors permuted into place.  These tests pin that promotion down against an
 independent bit-level reference, on every ordered placement of up to three
-qubits, for both super-operator backends:
+qubits:
 
 * :func:`embed_operator` agrees with a matrix built element by element;
-* lifted channels (``SuperOperator.embed`` / ``TransferSuperOperator.embed``)
-  act like the sum of the lifted Kraus operators;
+* lifted channels (``SuperOperator.embed``) act like the sum of the lifted
+  Kraus operators;
 * the denotation of each elementary statement equals the hand-lifted channel
   set;
 * ``wp`` is the adjoint ``{E†(P)}`` of that set, and ``wlp`` is
-  ``{E†(P) + I − E†(I)}``.
+  ``{E†(P) + I − E†(I)}``;
+* a while loop under each constant scheduler is the hand-unrolled chain
+  ``F_N = Σ_{n≤N} P⁰ ∘ (B ∘ P¹)ⁿ`` of lifted operators, and its wp/wlp are
+  that chain's adjoints at the same depth.
 """
 
 from itertools import permutations
@@ -20,7 +23,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from repro.language.ast import MEAS_COMPUTATIONAL, Abort, If, Init, Skip, Unitary, ndet, seq
+from repro.language.ast import MEAS_COMPUTATIONAL, Abort, If, Init, Skip, Unitary, While, ndet, seq
 from repro.linalg.constants import ATOL, CX, H, P0, P1, X
 from repro.linalg.random import (
     random_density_operator,
@@ -31,11 +34,11 @@ from repro.linalg.tensor import embed_operator
 from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.predicate import QuantumPredicate
 from repro.registers import QubitRegister
-from repro.semantics.denotational import BACKENDS, DenotationOptions, denotation
+from repro.semantics.denotational import DenotationOptions, denotation
+from repro.semantics.schedulers import ConstantScheduler
 from repro.semantics.wp import WpOptions, weakest_liberal_precondition, weakest_precondition
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
-from repro.superop.transfer import TransferSuperOperator
 
 NAMES = ("a", "b", "c")
 REGISTER = QubitRegister(NAMES)
@@ -98,19 +101,15 @@ def test_embed_operator_matches_bitwise_reference(positions):
 
 
 # ---------------------------------------------------------------------------
-# Lifted channels on both backends
+# Lifted channels
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("positions", PLACEMENTS, ids=PLACEMENT_IDS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_lifted_channel_matches_lifted_kraus_sum(backend, positions):
+def test_lifted_channel_matches_lifted_kraus_sum(positions):
     qubits = [NAMES[p] for p in positions]
     kraus = random_kraus_operators(2 ** len(positions), count=2, trace_preserving=False, seed=11)
-    if backend == "transfer":
-        lifted = TransferSuperOperator.from_kraus(kraus).embed(qubits, REGISTER)
-    else:
-        lifted = SuperOperator(kraus).embed(qubits, REGISTER)
+    lifted = SuperOperator(kraus).embed(qubits, REGISTER)
     reference = lifted_kraus(kraus, qubits)
     rho = random_density_operator(REGISTER.dimension, seed=3)
     expected_state = sum(op @ rho @ op.conj().T for op in reference)
@@ -169,9 +168,8 @@ STATEMENT_IDS = [case[0] for case in STATEMENTS]
 
 
 @pytest.mark.parametrize("name,statement,expected", STATEMENTS, ids=STATEMENT_IDS)
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_statement_denotation_is_the_lifted_channel_set(backend, name, statement, expected):
-    maps = denotation(statement, REGISTER, DenotationOptions(backend=backend))
+def test_statement_denotation_is_the_lifted_channel_set(name, statement, expected):
+    maps = denotation(statement, REGISTER)
     reference = [channel(kraus) for kraus in expected]
     assert len(maps) == len(reference), name
     assert set_equal(maps, reference, atol=ATOL), name
@@ -179,10 +177,7 @@ def test_statement_denotation_is_the_lifted_channel_set(backend, name, statement
 
 @pytest.mark.parametrize("name,statement,expected", STATEMENTS, ids=STATEMENT_IDS)
 @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_preconditions_are_adjoints_of_the_lifted_channels(
-    backend, liberal, name, statement, expected
-):
+def test_preconditions_are_adjoints_of_the_lifted_channels(liberal, name, statement, expected):
     post = random_predicate_matrix(REGISTER.dimension, seed=21)
     identity = np.eye(REGISTER.dimension, dtype=complex)
     predicates = []
@@ -193,7 +188,87 @@ def test_preconditions_are_adjoints_of_the_lifted_channels(
             matrix = matrix + identity - lifted.apply_adjoint(identity)
         predicates.append(QuantumPredicate(matrix))
     transformer = weakest_liberal_precondition if liberal else weakest_precondition
-    computed = transformer(
-        statement, QuantumAssertion([post]), REGISTER, WpOptions(backend=backend)
+    computed = transformer(statement, QuantumAssertion([post]), REGISTER)
+    assert computed.set_equal(QuantumAssertion(predicates)), name
+
+
+# ---------------------------------------------------------------------------
+# While loops, unrolled by hand
+# ---------------------------------------------------------------------------
+
+#: Body iterations of the truncated loop chains compared below.
+LOOP_DEPTH = 6
+LOOP_SCHEDULERS = [ConstantScheduler(0), ConstantScheduler(1)]
+
+
+def _ry(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _loop_cases():
+    """Yield ``(id, loop, lifted body unitaries, guard qubit)`` on the register ``(a, b, c)``.
+
+    The guard is measured on one qubit; each body branch rotates it, and on a
+    second qubit the other branch entangles the two with a ``CX``.
+    """
+    for guard in NAMES:
+        body = ndet(Unitary((guard,), "RY", _ry(1.1)), Unitary((guard,), "H", H))
+        unitaries = [lifted_kraus([_ry(1.1)], [guard])[0], lifted_kraus([H], [guard])[0]]
+        yield guard, While(MEAS_COMPUTATIONAL, (guard,), body), unitaries, guard
+    for guard, other in permutations(NAMES, 2):
+        body = ndet(
+            Unitary((guard,), "RY", _ry(0.7)),
+            seq(Unitary((other,), "H", H), Unitary((other, guard), "CX", CX)),
+        )
+        cx = lifted_kraus([_cx()], [other, guard])[0]
+        unitaries = [lifted_kraus([_ry(0.7)], [guard])[0], cx @ lifted_kraus([H], [other])[0]]
+        yield guard + other, While(MEAS_COMPUTATIONAL, (guard,), body), unitaries, guard
+
+
+LOOPS = list(_loop_cases())
+LOOP_IDS = [case[0] for case in LOOPS]
+
+
+def _unrolled_chains(unitaries, guard):
+    """Return ``F_N`` under each constant scheduler, one Kraus operator per iteration count."""
+    p0, p1 = (lifted_kraus([p], [guard])[0] for p in (P0, P1))
+    chains = []
+    for body in unitaries:
+        step = body @ p1
+        chains.append(
+            channel([p0 @ np.linalg.matrix_power(step, n) for n in range(LOOP_DEPTH + 1)])
+        )
+    return chains
+
+
+@pytest.mark.parametrize("name,loop,unitaries,guard", LOOPS, ids=LOOP_IDS)
+def test_loop_denotation_is_the_unrolled_lifted_chain(name, loop, unitaries, guard):
+    options = DenotationOptions(
+        schedulers=LOOP_SCHEDULERS, max_iterations=LOOP_DEPTH, convergence_tolerance=0.0
     )
+    maps = denotation(loop, REGISTER, options)
+    reference = _unrolled_chains(unitaries, guard)
+    assert len(maps) == len(reference), name
+    assert set_equal(maps, reference, atol=ATOL), name
+
+
+@pytest.mark.parametrize("name,loop,unitaries,guard", LOOPS, ids=LOOP_IDS)
+@pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+def test_loop_preconditions_are_adjoints_of_the_unrolled_chain(
+    liberal, name, loop, unitaries, guard
+):
+    post = random_predicate_matrix(REGISTER.dimension, seed=23)
+    identity = np.eye(REGISTER.dimension, dtype=complex)
+    predicates = []
+    for chain in _unrolled_chains(unitaries, guard):
+        matrix = chain.apply_adjoint(post)
+        if liberal:
+            matrix = matrix + identity - chain.apply_adjoint(identity)
+        predicates.append(QuantumPredicate(matrix))
+    options = WpOptions(
+        schedulers=LOOP_SCHEDULERS, max_iterations=LOOP_DEPTH, convergence_tolerance=0.0
+    )
+    transformer = weakest_liberal_precondition if liberal else weakest_precondition
+    computed = transformer(loop, QuantumAssertion([post]), REGISTER, options)
     assert computed.set_equal(QuantumAssertion(predicates)), name

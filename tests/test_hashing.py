@@ -34,7 +34,6 @@ from repro.linalg.random import (
 from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.predicate import QuantumPredicate
 from repro.superop.kraus import SuperOperator
-from repro.superop.transfer import TransferSuperOperator
 
 #: Perturbation scale well below the digest grid (1e-9): most perturbed pairs
 #: stay digest-equal, making the soundness property non-vacuous.
@@ -177,12 +176,13 @@ def test_boundary_straddling_superoperators_share_a_dict_bucket():
     assert hi in {lo: "cached"}
 
 
-def test_hash_consistent_across_both_representations():
-    dense = SuperOperator([H])
-    transfer = TransferSuperOperator.from_kraus([H])
-    assert dense == transfer
-    assert hash(dense) == hash(transfer)
-    assert hash(dense) == tolerance_safe_hash("superop", 2)
+def test_hash_consistent_across_kraus_decompositions():
+    single = SuperOperator([H])
+    split = SuperOperator([H / np.sqrt(2), H / np.sqrt(2)])
+    assert single == split
+    assert hash(single) == hash(split)
+    assert hash(single) == tolerance_safe_hash("superop", 2)
+    assert superop_digest(single) == superop_digest(split)
 
 
 def test_measurement_hash_consistent_with_name_insensitive_eq():

@@ -12,6 +12,7 @@ from repro.logic.prover import verify_formula
 from repro.logic.semantic_check import check_formula_semantically
 from repro.programs.deutsch import deutsch_formula, deutsch_program, oracle_unitary
 from repro.programs.errcorr import errcorr_formula, errcorr_program, errcorr_register
+from repro.programs.grover import grover_formula
 from repro.programs.phaseflip import phaseflip_formula
 from repro.programs.qwalk import (
     invalid_invariant,
@@ -22,6 +23,7 @@ from repro.programs.qwalk import (
 from repro.programs.rus import nondeterministic_rus_program, rus_formula, rus_invariant
 from repro.programs.teleport import teleport_formula
 from repro.semantics.denotational import apply_denotation, denotation
+from repro.superop.choi import is_cp_choi
 
 
 class TestErrorCorrection:
@@ -153,3 +155,53 @@ class TestExtensions:
         assert isinstance(
             next(node for node in formula.program.walk() if isinstance(node, While)).body, NDet
         )
+
+
+def _sweep_cases():
+    """Yield ``(name, formula, register, invariants)`` at 2–3 qubits."""
+    yield "deutsch", *deutsch_formula(), []
+    for qubits in (2, 3):
+        yield f"grover{qubits}", *grover_formula(qubits), []
+        yield f"grover{qubits}-gates", *grover_formula(qubits, layout="gates"), []
+    for positions in (4, 8):
+        formula, register = qwalk_formula(positions)
+        yield f"qwalk{positions}", formula, register, [qwalk_invariant(positions)]
+    yield "errcorr3", *errcorr_formula(num_data_qubits=3), []
+    yield "rus", *rus_formula(), [rus_invariant()]
+
+
+SWEEP = list(_sweep_cases())
+
+
+@pytest.mark.parametrize("name,formula,register,invariants", SWEEP, ids=[c[0] for c in SWEEP])
+def test_prover_verifies_case_studies_across_sizes(name, formula, register, invariants):
+    report = verify_formula(formula, register, invariants or None)
+    assert report.verified, name
+
+
+def _denotation_sweep_cases():
+    """Yield ``(name, formula, register)`` for the case-study formulas at 2–4 qubits."""
+    yield "deutsch", *deutsch_formula()
+    for qubits in (2, 3, 4):
+        yield f"grover{qubits}", *grover_formula(qubits)
+        yield f"grover{qubits}-gates", *grover_formula(qubits, layout="gates")
+    for positions in (4, 8, 16):
+        yield f"qwalk{positions}", *qwalk_formula(positions)
+    for code_size in (3, 4):
+        yield f"errcorr{code_size}", *errcorr_formula(num_data_qubits=code_size)
+    yield "rus", *rus_formula()
+
+
+DENOTATION_SWEEP = list(_denotation_sweep_cases())
+
+
+@pytest.mark.parametrize(
+    "name,formula,register", DENOTATION_SWEEP, ids=[c[0] for c in DENOTATION_SWEEP]
+)
+def test_case_study_denotations_are_trace_nonincreasing_across_sizes(name, formula, register):
+    maps = denotation(formula.program, register)
+    assert maps, name
+    for channel in maps:
+        assert channel.dimension == register.dimension
+        assert channel.is_trace_nonincreasing(), name
+        assert is_cp_choi(channel.choi()), name

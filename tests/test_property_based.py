@@ -44,18 +44,10 @@ from repro.predicates.assertion import QuantumAssertion
 from repro.predicates.order import leq_inf
 from repro.predicates.predicate import QuantumPredicate
 from repro.registers import QubitRegister
-from repro.semantics.denotational import DenotationOptions, denotation
+from repro.semantics.denotational import denotation
 from repro.semantics.wp import weakest_liberal_precondition, weakest_precondition
 from repro.superop.choi import choi_matrix, kraus_from_choi
-from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
-from repro.superop.transfer import (
-    TransferSuperOperator,
-    choi_from_transfer,
-    kraus_from_transfer,
-    transfer_from_choi,
-    transfer_matrix,
-)
 
 # A small pool of named single-qubit unitaries for program generation.
 _GATES = [("H", H), ("X", X), ("Y", Y), ("Z", Z), ("S", S_GATE)]
@@ -158,58 +150,18 @@ class TestSuperOperatorProperties:
 
 
 # ---------------------------------------------------------------------------
-# Representation round-trip properties (Kraus ↔ transfer ↔ Choi)
+# Representation round-trip properties (Kraus ↔ Choi)
 # ---------------------------------------------------------------------------
 
 
 class TestRepresentationRoundTrips:
     @given(seed=seeds, count=st.integers(min_value=1, max_value=4))
     @_SETTINGS
-    def test_transfer_choi_reshuffle_is_lossless(self, seed, count):
-        """Transfer and Choi matrices hold the same entries up to a permutation."""
+    def test_kraus_choi_kraus_round_trip_preserves_the_map(self, seed, count):
         kraus = random_kraus_operators(4, count=count, trace_preserving=False, seed=seed)
-        transfer = transfer_matrix(kraus)
-        choi = choi_matrix(kraus)
-        assert np.allclose(choi_from_transfer(transfer), choi, atol=1e-12)
-        assert np.allclose(transfer_from_choi(choi), transfer, atol=1e-12)
-        # The reshuffle is an involution, exactly.
-        assert np.array_equal(transfer_from_choi(choi_from_transfer(transfer)), transfer)
-
-    @given(seed=seeds, count=st.integers(min_value=1, max_value=4))
-    @_SETTINGS
-    def test_kraus_transfer_kraus_round_trip_preserves_the_map(self, seed, count):
-        kraus = random_kraus_operators(4, count=count, trace_preserving=False, seed=seed)
-        recovered = kraus_from_transfer(transfer_matrix(kraus))
-        assert np.allclose(transfer_matrix(recovered), transfer_matrix(kraus), atol=1e-8)
-        via_choi = kraus_from_choi(choi_matrix(kraus))
-        assert SuperOperator(recovered, validate=False).equals(
-            SuperOperator(via_choi, validate=False)
-        )
-
-    @given(seed=seeds)
-    @_SETTINGS
-    def test_transfer_application_agrees_with_kraus(self, seed):
-        kraus = random_kraus_operators(2, count=2, trace_preserving=False, seed=seed)
-        kraus_form = SuperOperator(kraus)
-        transfer_form = TransferSuperOperator.from_superoperator(kraus_form)
-        rho = random_partial_density_operator(2, seed=seed + 1)
-        observable = random_predicate_matrix(2, seed=seed + 2)
-        assert np.allclose(kraus_form.apply(rho), transfer_form.apply(rho), atol=1e-10)
-        assert np.allclose(
-            kraus_form.apply_adjoint(observable),
-            transfer_form.apply_adjoint(observable),
-            atol=1e-10,
-        )
-        assert transfer_form.equals(kraus_form) and kraus_form.equals(transfer_form)
-
-    @given(program=loop_free_programs())
-    @_SETTINGS
-    def test_backends_compute_equal_denotation_sets(self, program):
-        register = QubitRegister(["q"])
-        kraus_maps = denotation(program, register, DenotationOptions(backend="kraus"))
-        transfer_maps = denotation(program, register, DenotationOptions(backend="transfer"))
-        assert len(kraus_maps) == len(transfer_maps)
-        assert set_equal(kraus_maps, transfer_maps, atol=1e-8)
+        recovered = kraus_from_choi(choi_matrix(kraus))
+        assert np.allclose(choi_matrix(recovered), choi_matrix(kraus), atol=1e-8)
+        assert SuperOperator(recovered, validate=False).equals(SuperOperator(kraus, validate=False))
 
 
 # ---------------------------------------------------------------------------

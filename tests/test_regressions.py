@@ -2,7 +2,7 @@
 
 Every ``fuzz_<seed>_<index>.nqpv`` / ``.expected.json`` pair was once a real
 divergence found by ``tools/fuzz.py`` (shrunk to a minimal program before
-promotion); replaying them through the full oracle matrix pins the fixes
+promotion); replaying them through the oracle pins the fixes
 forever after.  The corpus grows automatically: any new promotion is picked
 up by the ``glob`` below without touching this file.
 """
@@ -49,7 +49,6 @@ def test_promoted_regressions_stay_fixed(path):
     divergences = check_program(program, REPLAY_CONFIG)
     assert not divergences, (
         f"{path.name} regressed — it historically diverged as "
-        f"{expected['history'][0]['combo_a']} vs {expected['history'][0]['combo_b']} "
-        f"({expected['history'][0]['kind']}); repro: {expected['repro']}\n"
-        + "\n".join(f"{d.kind} {d.combo_a} vs {d.combo_b}: {d.detail}" for d in divergences)
+        f"{expected['history'][0]['kind']}; repro: {expected['repro']}\n"
+        + "\n".join(f"{d.kind}: {d.detail}" for d in divergences)
     )

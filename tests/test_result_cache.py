@@ -5,7 +5,7 @@ Covers the :class:`~repro.cache.ResultCache` mechanics (LRU bound, counters,
 subprograms share one annotation; a single-branch edit reuses ≥ 50 % of the
 per-subterm annotations — the ISSUE 6 acceptance criterion), honoring of
 caller tolerances after the de-clamping, and a cached-vs-uncached correctness
-sweep over the case-study formulas at 2–4 qubits × backend.
+sweep over the case-study formulas at 2–4 qubits.
 """
 
 import threading
@@ -30,7 +30,7 @@ from repro.programs.deutsch import deutsch_formula
 from repro.programs.errcorr import errcorr_formula
 from repro.programs.grover import grover_formula
 from repro.registers import QubitRegister
-from repro.semantics.denotational import BACKENDS, DenotationOptions, denotation
+from repro.semantics.denotational import DenotationOptions, denotation
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
 
@@ -260,33 +260,32 @@ def _sweep_cases():
 _CASES = list(_sweep_cases())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_cached_and_uncached_runs_agree(backend):
+def test_cached_and_uncached_runs_agree():
     for name, formula, register in _CASES:
-        options = DenotationOptions(backend=backend)
+        options = DenotationOptions()
         RESULT_CACHE.configure(enabled=False)
         uncached_maps = denotation(formula.program, register, options)
         RESULT_CACHE.configure(enabled=True)
         clear_result_cache()
         denotation(formula.program, register, options)  # populate
         cached_maps = denotation(formula.program, register, options)  # served from cache
-        assert set_equal(uncached_maps, cached_maps, atol=ATOL), (name, backend)
+        assert set_equal(uncached_maps, cached_maps, atol=ATOL), name
 
         if register.num_qubits > 3:
             continue  # prover sweep stays cheap, as in tier-1
-        prover_options = ProverOptions(backend=backend)
+        prover_options = ProverOptions()
         RESULT_CACHE.configure(enabled=False)
         uncached_report = verify_formula(formula, register, options=prover_options)
         RESULT_CACHE.configure(enabled=True)
         clear_result_cache()
         verify_formula(formula, register, options=prover_options)
         cached_report = verify_formula(formula, register, options=prover_options)
-        assert cached_report.verified == uncached_report.verified, (name, backend)
+        assert cached_report.verified == uncached_report.verified, name
         uncached_vc = uncached_report.verification_condition
         cached_vc = cached_report.verification_condition
         assert len(uncached_vc.predicates) == len(cached_vc.predicates)
         for mine, theirs in zip(uncached_vc.predicates, cached_vc.predicates):
-            assert np.allclose(mine.matrix, theirs.matrix, atol=ATOL), (name, backend)
+            assert np.allclose(mine.matrix, theirs.matrix, atol=ATOL), name
 
 
 def test_explicit_schedulers_bypass_the_cache():

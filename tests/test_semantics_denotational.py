@@ -21,15 +21,18 @@ from repro.language.ast import (
 from repro.linalg.constants import H, P0, P1, X
 from repro.linalg.operators import operators_close
 from repro.linalg.states import density, ket, maximally_mixed, minus_state, plus_state
+from repro.logic.prover import ProverOptions
+from repro.programs import nondeterministic_rus_program, rus_program
 from repro.registers import QubitRegister
 from repro.semantics.denotational import (
     DenotationOptions,
     apply_denotation,
     denotation,
     loop_iterates,
-    measurement_superoperators,
+    measurement_pair,
 )
 from repro.semantics.schedulers import ConstantScheduler
+from repro.semantics.wp import WpOptions
 from repro.superop.compare import set_equal
 from repro.superop.kraus import SuperOperator
 
@@ -175,11 +178,90 @@ class TestWhileLoops:
 class TestMeasurementSuperoperators:
     def test_projection_pair(self, q_register):
         statement = measure(("q",))
-        p0, p1 = measurement_superoperators(statement, q_register)
+        p0, p1 = measurement_pair(statement, q_register)
         assert operators_close(p0.apply(density(plus_state())), 0.5 * density(ket("0")))
         assert operators_close(p1.apply(density(plus_state())), 0.5 * density(ket("1")))
 
 
 def test_denotation_options_pickle_roundtrip():
-    options = DenotationOptions(backend="transfer", sampled_schedulers=3)
+    options = DenotationOptions(max_iterations=12, sampled_schedulers=3)
     assert pickle.loads(pickle.dumps(options)) == options
+
+
+@pytest.mark.parametrize("field", ["backend", "lifting"])
+@pytest.mark.parametrize("options_type", [DenotationOptions, WpOptions, ProverOptions])
+def test_options_have_no_representation_fields(options_type, field):
+    with pytest.raises(TypeError):
+        options_type(**{field: "kraus"})
+
+
+def _entry_points():
+    """Yield ``(id, call)`` for every public function that once took a representation name."""
+    from repro.assistant.verify import verify
+    from repro.logic.checker import check_rule
+    from repro.logic.formula import CorrectnessFormula, CorrectnessMode
+    from repro.predicates.assertion import QuantumAssertion
+    from repro.semantics.denotational import initializer_channel
+    from repro.semantics.equivalence import program_refines, programs_equivalent
+
+    register = QubitRegister(["q"])
+    loop = next(node for node in rus_program().walk() if isinstance(node, While))
+    identity = QuantumAssertion.identity(1)
+    conclusion = CorrectnessFormula(identity, Skip(), identity, CorrectnessMode.PARTIAL)
+    program = rus_program()
+    yield "check_rule", lambda **kw: check_rule("Skip", conclusion, register=register, **kw)
+    yield "measurement_pair", lambda **kw: measurement_pair(loop, register, **kw)
+    yield "initializer_channel", lambda **kw: initializer_channel(["q"], register, **kw)
+    yield "programs_equivalent", lambda **kw: programs_equivalent(program, program, **kw)
+    yield "program_refines", lambda **kw: program_refines(program, program, **kw)
+    yield "verify", lambda **kw: verify("{ I[q] }; skip; { I[q] }", **kw)
+
+
+ENTRY_POINTS = list(_entry_points())
+
+
+@pytest.mark.parametrize(
+    "call", [entry[1] for entry in ENTRY_POINTS], ids=[entry[0] for entry in ENTRY_POINTS]
+)
+def test_entry_points_take_no_backend_argument(call):
+    # A keyword that is swallowed instead of rejected would let a caller
+    # believe it picked a representation.
+    call()
+    with pytest.raises(TypeError):
+        call(backend="kraus")
+
+
+class TestLoopPrefixCache:
+    def test_schedulers_share_the_empty_prefix(self):
+        program = nondeterministic_rus_program()
+        loop = next(node for node in program.walk() if isinstance(node, While))
+        register = QubitRegister(["q"])
+        options = DenotationOptions(max_iterations=12, convergence_tolerance=0.0)
+        bodies = denotation(loop.body, register)
+        cache = {}
+        for scheduler in (ConstantScheduler(0), ConstantScheduler(1)):
+            cached = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
+            uncached = loop_iterates(loop, register, bodies, scheduler, options)
+            assert len(cached) == len(uncached) == 12 + 1
+            for a, b in zip(cached, uncached):
+                assert a.equals(b, atol=1e-10)
+        # The empty prefix is shared; each constant scheduler contributes its own
+        # chain of choice-keyed prefixes on top of it.
+        assert () in cache
+        assert len(cache) == 2 * 12 + 1
+
+    def test_reusing_a_populated_cache_gives_identical_results(self):
+        loop = next(node for node in rus_program().walk() if isinstance(node, While))
+        register = QubitRegister(["q"])
+        options = DenotationOptions(max_iterations=10, convergence_tolerance=0.0)
+        bodies = denotation(loop.body, register, options)
+        scheduler = ConstantScheduler(0)
+        cold = loop_iterates(loop, register, bodies, scheduler, options)
+        cache = {}
+        warm_first = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
+        populated = dict(cache)
+        warm_second = loop_iterates(loop, register, bodies, scheduler, options, prefix_cache=cache)
+        assert populated.keys() == cache.keys()
+        for a, b, c in zip(cold, warm_first, warm_second):
+            assert np.array_equal(b.choi(), c.choi())
+            assert a.equals(b, atol=1e-10)

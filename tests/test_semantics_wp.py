@@ -14,12 +14,30 @@ from repro.language.ast import (
     ndet,
     seq,
 )
+from repro.assistant.verify import build_task
+from repro.fuzz import generate_batch
 from repro.linalg.constants import H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
-from repro.linalg.random import random_density_operator
+from repro.linalg.random import random_density_operator, random_predicate_matrix
 from repro.predicates.assertion import QuantumAssertion
+from repro.programs import (
+    deutsch_program,
+    errcorr_program,
+    grover_program,
+    nondeterministic_rus_program,
+    phaseflip_program,
+    qwalk_program,
+    rus_program,
+    teleport_program,
+)
+from repro.programs.deutsch import deutsch_formula
+from repro.programs.errcorr import errcorr_formula
+from repro.programs.grover import grover_formula
+from repro.programs.qwalk import qwalk_formula
+from repro.programs.rus import rus_formula
 from repro.registers import QubitRegister
-from repro.semantics.denotational import denotation
+from repro.semantics.denotational import DenotationOptions, denotation
+from repro.semantics.schedulers import RandomScheduler
 from repro.semantics.wp import (
     WpOptions,
     weakest_liberal_precondition,
@@ -141,3 +159,141 @@ class TestLoops:
         assert len(wlp) >= 1
         for predicate in wlp:
             assert predicate.dimension == 2
+
+
+def _ry(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _assert_dual(program, post, register, liberal, atol, **loop_options):
+    """Assert that wp/wlp is the adjoint of the denotation under the same options.
+
+    ``wp.S.{P} = {E†(P)}`` and ``wlp.S.{P} = {E†(P) + I − E†(I)}`` over
+    ``E ∈ [[S]]``.  Every transformed predicate must be one of those to
+    ``atol``.  The denotation is taken without deduplication, so it has every
+    explored scheduler's map; the transformer keeps one predicate of each
+    group ``np.allclose`` cannot tell apart, hence the relative tolerance the
+    other way round.
+    """
+    transformer = weakest_liberal_precondition if liberal else weakest_precondition
+    computed = [p.matrix for p in transformer(program, post, register, WpOptions(**loop_options))]
+    identity = np.eye(register.dimension)
+    dual = []
+    for channel in denotation(program, register, DenotationOptions(dedup=False, **loop_options)):
+        leak = identity - channel.apply_adjoint(identity) if liberal else 0
+        dual.extend(channel.apply_adjoint(p.matrix) + leak for p in post)
+    gap = max(min(np.abs(c - d).max() for d in dual) for c in computed)
+    assert gap < atol
+    assert all(any(np.allclose(d, c, rtol=1e-5, atol=atol) for c in computed) for d in dual)
+
+
+#: Every program of the library, keyed for readable parametrised test ids.
+PROGRAMS = {
+    "deutsch": deutsch_program,
+    "errcorr": errcorr_program,
+    "grover2": lambda: grover_program(2),
+    "grover3": lambda: grover_program(3),
+    "phaseflip": phaseflip_program,
+    "qwalk": qwalk_program,
+    "rus": rus_program,
+    "rus_ndet": nondeterministic_rus_program,
+    "teleport": teleport_program,
+}
+
+
+def _sized_case_studies():
+    """Yield ``(name, formula, register)`` for the case-study formulas at 2–3 qubits."""
+    yield "deutsch", *deutsch_formula()
+    for qubits in (2, 3):
+        yield f"grover{qubits}", *grover_formula(qubits)
+        yield f"grover{qubits}-gates", *grover_formula(qubits, layout="gates")
+    for positions in (4, 8):
+        yield f"qwalk{positions}", *qwalk_formula(positions)
+    yield "errcorr3", *errcorr_formula(num_data_qubits=3)
+    yield "rus", *rus_formula()
+
+
+SIZED_CASE_STUDIES = list(_sized_case_studies())
+
+
+class TestLoopDuality:
+    """The backward Fig. 5 sequences are dual to the forward chains ``F^η_N``."""
+
+    @pytest.mark.parametrize("name", sorted(PROGRAMS))
+    @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+    def test_case_studies_are_dual_at_exact_depth(self, name, liberal):
+        program = PROGRAMS[name]()
+        register = QubitRegister.for_program(program)
+        post = QuantumAssertion([random_predicate_matrix(register.dimension, seed=5)])
+        _assert_dual(
+            program, post, register, liberal, 1e-8, max_iterations=16, convergence_tolerance=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "name,formula,register", SIZED_CASE_STUDIES, ids=[c[0] for c in SIZED_CASE_STUDIES]
+    )
+    @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+    def test_case_study_formulas_are_dual_at_exact_depth_across_sizes(
+        self, name, formula, register, liberal
+    ):
+        _assert_dual(
+            formula.program,
+            formula.postcondition,
+            register,
+            liberal,
+            1e-8,
+            max_iterations=16,
+            convergence_tolerance=0.0,
+        )
+
+    @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+    def test_fuzz_draw_188_is_dual_at_exact_depth(self, liberal):
+        # Both engines must cover max_iterations body iterations; a backward
+        # sequence one iteration short differed by 3.2e-3 (wp) and 4.8e-3 (wlp).
+        task = build_task(generate_batch(2023, 200)[188].source())
+        _assert_dual(
+            task.formula.program,
+            task.formula.postcondition,
+            task.register,
+            liberal,
+            1e-6,
+            max_iterations=24,
+            convergence_tolerance=0.0,
+        )
+
+    @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+    def test_random_scheduler_result_does_not_depend_on_the_tolerance(self, liberal):
+        # Stopping the backward sequence early keeps f_{η_1} … f_{η_j} and
+        # drops the scheduler's *last* choices only for a constant scheduler;
+        # for a random one it returned the transformer of a shifted scheduler
+        # (a 1.5e-3 difference here).
+        register = QubitRegister(["q", "r"])
+        body = ndet(
+            Unitary(("q",), "RY", _ry(1.2)),
+            seq(Unitary(("q",), "RY", _ry(2.6)), Unitary(("r",), "X", X)),
+        )
+        loop = While(MEAS_COMPUTATIONAL, ("q",), body)
+        post = QuantumAssertion([register.embed(P0, ("r",))])
+        transformer = weakest_liberal_precondition if liberal else weakest_precondition
+        schedulers = [RandomScheduler(1)]
+        default = transformer(loop, post, register, WpOptions(schedulers=schedulers))
+        exact = transformer(
+            loop, post, register, WpOptions(schedulers=schedulers, convergence_tolerance=0.0)
+        )
+        assert np.abs(single(default) - single(exact)).max() < 1e-8
+        _assert_dual(loop, post, register, liberal, 1e-8, schedulers=schedulers)
+
+    @pytest.mark.parametrize("liberal", [False, True], ids=["wp", "wlp"])
+    def test_duplicate_body_branches_are_one_scheduler_choice(self, liberal):
+        # Both engines must let a scheduler choose among the same list of body
+        # maps; the forward chain used to keep the duplicate first branch, so
+        # its sampled schedulers drew from three choices and wp/wlp's from two.
+        register = QubitRegister(["q", "r"])
+        rotate = Unitary(("q",), "RY", _ry(1.2))
+        body = ndet(rotate, rotate, seq(Unitary(("q",), "RY", _ry(2.6)), Unitary(("r",), "X", X)))
+        loop = While(MEAS_COMPUTATIONAL, ("q",), body)
+        post = QuantumAssertion([register.embed(P0, ("r",))])
+        _assert_dual(
+            loop, post, register, liberal, 1e-8, max_iterations=16, convergence_tolerance=0.0
+        )

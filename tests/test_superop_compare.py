@@ -17,7 +17,6 @@ from repro.superop.compare import (
     superoperator_precedes,
 )
 from repro.superop.kraus import SuperOperator
-from repro.superop.transfer import TransferSet
 
 
 class TestElementComparisons:
@@ -225,15 +224,34 @@ class TestRowMatcher:
         if kind == "finite" and atol >= 0:
             assert True in verdicts and False in verdicts
 
+
     @CANDIDATE_KINDS
     @ATOLS
-    def test_transfer_set_deduplicated_keeps_what_isclose_keeps(self, kind, atol):
+    def test_set_equal_agrees_with_isclose_both_ways(self, kind, atol):
+        # ``np.isclose`` scales ``rtol`` by its second argument, so equality
+        # must hold with each set taking that role in turn.
         candidate = _candidate(kind)
         rows = _probe_rows(candidate, atol)
-        rows = rows[::-1] + rows
-        side = DIMENSION * DIMENSION
-        stack = np.stack(rows).reshape(len(rows), side, side)
-        unique = TransferSet(stack).deduplicated(atol=atol)
-        kept = _isclose_dedup(rows, atol)
-        assert len(unique) == len(kept) < len(rows)
-        assert np.array_equal(unique.stack, stack[kept], equal_nan=True)
+        candidate_map = [_SignatureMap(candidate)]
+        verdicts = []
+        for row in rows:
+            expected = bool(
+                _isclose_rows([candidate], row, atol).all()
+                and _isclose_rows([row], candidate, atol).all()
+            )
+            assert set_equal([_SignatureMap(row)], candidate_map, atol=atol) == expected
+            verdicts.append(expected)
+        maps = [_SignatureMap(row) for row in rows]
+        self_match = all(_isclose_rows([row], row, atol).all() for row in rows)
+        assert set_equal(maps, maps[::-1], atol=atol) == self_match
+        if kind == "finite" and atol >= 0:
+            assert True in verdicts and False in verdicts
+
+def test_set_comparisons_tolerate_mixed_dimensions():
+    small = SuperOperator.identity(2)
+    large = SuperOperator.identity(4)
+    assert set_subset([small], [small, large])
+    assert set_subset([small, large], [large, small])
+    assert not set_subset([small], [large])
+    assert not set_equal([small], [large])
+    assert len(deduplicate([small, large, small, large])) == 2

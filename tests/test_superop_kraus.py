@@ -1,11 +1,14 @@
 """Unit tests for :class:`repro.superop.kraus.SuperOperator`."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.exceptions import DimensionMismatchError, SuperOperatorError
 from repro.linalg.constants import CX, H, I2, P0, P1, X
 from repro.linalg.operators import operators_close
+from repro.linalg.random import random_density_operator, random_kraus_operators, random_unitary
 from repro.linalg.states import density, ket, maximally_mixed, plus_state
 from repro.registers import QubitRegister
 from repro.superop.kraus import SuperOperator
@@ -149,3 +152,113 @@ class TestOrderingAndEquality:
         assert SuperOperator([P0]).probability_bound() == pytest.approx(1.0)
         assert SuperOperator.scalar(0.3, 2).probability_bound() == pytest.approx(0.3)
         assert SuperOperator.zero(2).probability_bound() == pytest.approx(0.0)
+
+
+def liouville(kraus):
+    """Return ``Σ K ⊗ conj(K)``: the matrix of the map on row-major ``vec(ρ)``."""
+    return sum(np.kron(operator, operator.conj()) for operator in kraus)
+
+
+def row_vec(matrix):
+    return np.asarray(matrix).reshape(-1)
+
+
+def unvec(vector, dimension):
+    return vector.reshape(dimension, dimension)
+
+
+#: ``(dimension, Kraus count, seed)`` of the random maps in the Liouville checks.
+LIOUVILLE_CASES = pytest.mark.parametrize(
+    "dimension,count,seed", [(2, 1, 0), (2, 3, 1), (4, 2, 2)], ids=["d2-k1", "d2-k3", "d4-k2"]
+)
+
+
+def _random_map(dimension, count, seed):
+    kraus = random_kraus_operators(dimension, count=count, trace_preserving=False, seed=seed)
+    return SuperOperator(kraus), kraus
+
+
+class TestLiouvilleReference:
+    """Kraus-form algebra against the matrix of the map on ``vec(ρ)``.
+
+    The Liouville matrix ``L(E) = Σ K ⊗ conj(K)`` turns every operation on
+    maps into plain linear algebra, so it is an independent reference for
+    what the Kraus lists compute.
+    """
+
+    @LIOUVILLE_CASES
+    def test_apply_is_the_liouville_action(self, dimension, count, seed):
+        channel, kraus = _random_map(dimension, count, seed)
+        rho = random_density_operator(dimension, seed=seed + 10)
+        expected = unvec(liouville(kraus) @ row_vec(rho), dimension)
+        assert np.allclose(channel.apply(rho), expected)
+
+    @LIOUVILLE_CASES
+    def test_adjoint_is_the_conjugate_transpose(self, dimension, count, seed):
+        channel, kraus = _random_map(dimension, count, seed)
+        observable = random_density_operator(dimension, seed=seed + 20)
+        expected = unvec(liouville(kraus).conj().T @ row_vec(observable), dimension)
+        assert np.allclose(channel.apply_adjoint(observable), expected)
+        assert np.allclose(liouville(channel.adjoint().kraus_operators), liouville(kraus).conj().T)
+
+    @LIOUVILLE_CASES
+    def test_compose_multiplies_the_matrices(self, dimension, count, seed):
+        first, first_kraus = _random_map(dimension, count, seed)
+        second, second_kraus = _random_map(dimension, count + 1, seed + 100)
+        composed = first.compose(second)
+        expected = liouville(first_kraus) @ liouville(second_kraus)
+        assert np.allclose(liouville(composed.kraus_operators), expected)
+        assert np.allclose(liouville(second.then(first).kraus_operators), expected)
+
+    @LIOUVILLE_CASES
+    def test_addition_adds_the_matrices(self, dimension, count, seed):
+        first, first_kraus = _random_map(dimension, count, seed)
+        second, second_kraus = _random_map(dimension, count, seed + 100)
+        total = first + second
+        assert np.allclose(
+            liouville(total.kraus_operators), liouville(first_kraus) + liouville(second_kraus)
+        )
+
+    @LIOUVILLE_CASES
+    def test_scaling_scales_the_matrix(self, dimension, count, seed):
+        channel, kraus = _random_map(dimension, count, seed)
+        factor = 0.1 + 0.2 * seed
+        assert np.allclose(liouville((factor * channel).kraus_operators), factor * liouville(kraus))
+
+    @LIOUVILLE_CASES
+    def test_tensor_is_the_reshuffled_kron(self, dimension, count, seed):
+        first, first_kraus = _random_map(dimension, count, seed)
+        second, second_kraus = _random_map(2, 2, seed + 100)
+        # kron(L_A, L_B) is indexed ((i_a, j_a), (i_b, j_b)) × ((k_a, l_a), (k_b, l_b));
+        # the product map wants ((i_a, i_b), (j_a, j_b)) × ((k_a, k_b), (l_a, l_b)).
+        d_a, d_b = dimension, 2
+        product = np.kron(liouville(first_kraus), liouville(second_kraus))
+        product = product.reshape(d_a, d_a, d_b, d_b, d_a, d_a, d_b, d_b)
+        expected = product.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(
+            (d_a * d_b) ** 2, (d_a * d_b) ** 2
+        )
+        assert np.allclose(liouville(first.tensor(second).kraus_operators), expected)
+
+    @LIOUVILLE_CASES
+    def test_choi_is_the_reshuffled_matrix(self, dimension, count, seed):
+        channel, kraus = _random_map(dimension, count, seed)
+        reshuffled = (
+            channel.choi()
+            .reshape(dimension, dimension, dimension, dimension)
+            .transpose(0, 2, 1, 3)
+            .reshape(dimension**2, dimension**2)
+        )
+        assert np.allclose(reshuffled, liouville(kraus))
+
+    @LIOUVILLE_CASES
+    def test_unitary_mixing_of_kraus_operators_keeps_the_map(self, dimension, count, seed):
+        channel, kraus = _random_map(dimension, count, seed)
+        mixing = random_unitary(count, seed=seed + 30)
+        mixed = [sum(mixing[i, j] * kraus[j] for j in range(count)) for i in range(count)]
+        assert np.allclose(liouville(mixed), liouville(kraus))
+        assert SuperOperator(mixed, validate=False).equals(channel)
+
+
+def test_superoperator_pickle_roundtrip():
+    kraus = SuperOperator([np.kron(H, np.eye(2))])
+    assert pickle.loads(pickle.dumps(kraus)).equals(kraus)

@@ -1,7 +1,7 @@
 """Fuzzing driver: generate programs, run the differential oracle, promote findings.
 
-Sweeps a fixed-seed batch of generated programs through the cross-
-representation oracle of :mod:`repro.fuzz.differential`::
+Sweeps a fixed-seed batch of generated programs through the forward/backward
+duality oracle of :mod:`repro.fuzz.differential`::
 
     python tools/fuzz.py --seed 2023 --max-programs 200 --report fuzz-report.json
 
@@ -89,11 +89,7 @@ def report_failure(program, divergences, args, oracle_config) -> dict:
     print(f"DIVERGENCE seed={program.seed} index={program.index}", file=sys.stderr)
     print(f"  repro: {repro_line(program.seed, program.index)}", file=sys.stderr)
     for divergence in divergences:
-        print(
-            f"  {divergence.kind}: {divergence.combo_a} vs {divergence.combo_b} — "
-            f"{divergence.detail}",
-            file=sys.stderr,
-        )
+        print(f"  {divergence.kind}: {divergence.detail}", file=sys.stderr)
     print("  minimized source:", file=sys.stderr)
     for line in minimized.source().splitlines():
         print("    " + line, file=sys.stderr)
@@ -123,12 +119,7 @@ def promote(record: dict, directory: Path) -> None:
         "repro": record["repro"],
         "expected": "all representation combinations agree",
         "history": [
-            {
-                "kind": divergence["kind"],
-                "combo_a": divergence["combo_a"],
-                "combo_b": divergence["combo_b"],
-                "detail": divergence["detail"],
-            }
+            {"kind": divergence["kind"], "detail": divergence["detail"]}
             for divergence in record["divergences"]
         ],
     }
@@ -159,7 +150,7 @@ def main(argv=None) -> int:
                 report_failure(program, divergences, args, oracle_config)
             )
         else:
-            print(f"index {args.index}: all combinations agree")
+            print(f"index {args.index}: wp and wlp are dual to the denotation")
         failures = payload["failures"]
     else:
         programs = [
@@ -179,8 +170,7 @@ def main(argv=None) -> int:
         print(
             f"checked {report.programs_checked} programs "
             f"({report.loop_free} loop-free, {report.with_loops} with loops) "
-            f"across {len(report.combos)} combos: "
-            f"{len(failures)} divergent program(s)"
+            f"for wp/wlp duality: {len(failures)} divergent program(s)"
         )
 
     if args.report is not None:
